@@ -4,7 +4,7 @@
   domain-smoke serve-smoke bench-lint stats-golden bench-check \
   bench-baseline bench-speed bench-speed-report bench-serve \
   bench-serve-report trace-golden cond-smoke metrics-check \
-  metrics-baseline metrics-smoke
+  metrics-baseline metrics-smoke perfbench-smoke
 
 all:
 	dune build
@@ -33,6 +33,7 @@ ci:
 	$(MAKE) bench-check
 	$(MAKE) metrics-check
 	$(MAKE) metrics-smoke
+	$(MAKE) perfbench-smoke
 
 # The pinned-seed differential fuzz run CI's fuzz-smoke job executes:
 # 500 random programs through the pipeline, checked against the scalar
@@ -176,6 +177,21 @@ metrics-smoke:
 	  --metrics-format json
 	dune exec bin/lslpc.exe -- metrics-verify _build/metrics_smoke.json \
 	  --metrics-format json --expect-degradations 2
+
+# Benchmark smoke: every perfbench workload for 2 s.  Each run ends by
+# replaying its jobs through the layer calls and requiring the service's
+# IR to be byte-equal to the replay's reference render (Normalize.ids over
+# Printer.pp_func), so this fails on any drift between the two printers.
+# Fails on a non-zero exit or a last line without "correct":true.
+perfbench-smoke:
+	@for w in cold-project wide-lookahead rebuild-warm; do \
+	  out=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 2 \
+	    --trace 0) || { echo "perfbench-smoke: $$w failed" >&2; exit 1; }; \
+	  case "$$(printf '%s\n' "$$out" | tail -n 1)" in \
+	    *'"correct":true'*) echo "perfbench-smoke: $$w correct" ;; \
+	    *) echo "perfbench-smoke: $$w not correct" >&2; exit 1 ;; \
+	  esac; \
+	done
 
 bench:
 	dune exec bench/main.exe

@@ -973,7 +973,7 @@ let batch_cmd =
    [--jobs] more times as concurrent pool jobs, and require every copy to
    reproduce the sequential IR, remarks and telemetry counters exactly.
    Instruction ids come from a process-global Atomic so raw ids differ run
-   to run — Fuzz.normalize_ids alpha-renames them by first appearance,
+   to run — Printer.canonical numbers them by first appearance,
    which is exactly the invariant we promise: same structure, any
    numbering.  The id-watermark leak check runs inside every job: ids are
    globally monotone across domains, so output ids outside the job's own
@@ -1003,12 +1003,9 @@ let domains_cmd =
                      k.key i.Lslp_ir.Instr.id low high))
             b)
         (Lslp_ir.Func.blocks g);
-      let ir =
-        Lslp_fuzz.Fuzz.normalize_ids
-          (Fmt.str "%a" Lslp_ir.Printer.pp_func g)
-      in
+      let ir = Lslp_ir.Printer.canonical g in
       let remarks =
-        Lslp_fuzz.Fuzz.normalize_ids
+        Lslp_util.Normalize.ids
           (Fmt.str "%a"
              Fmt.(list ~sep:(any "@.") Lslp_check.Remark.pp)
              report.Lslp_core.Pipeline.remarks)

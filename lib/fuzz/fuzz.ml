@@ -143,11 +143,6 @@ let run ?(cases = 500) ?(seed = 42) ?(cond = false) ?config ?inject_spec () :
     injected_runs = !injected_runs;
   }
 
-(* Moved to Lslp_util.Normalize so the service layer can share it without
-   depending on the fuzzer; kept here as the historical name every test
-   and driver already uses. *)
-let normalize_ids = Lslp_util.Normalize.ids
-
 (* One case under the *indexed* derivation: the whole case — program,
    config draw, validate flag, injector — comes from a per-case PRNG
    seeded by (root seed, case), not from one stream threaded across
@@ -227,7 +222,7 @@ let run_cache_diff ?(cases = 200) ?(seed = 42) () : stats =
           Pipeline.run ~config:(Config.with_score_cache cache config)
             candidate
         in
-        (report, normalize_ids (Fmt.str "%a" Printer.pp_func candidate))
+        (report, Printer.canonical candidate)
       in
       match (run_one true, run_one false) with
       | exception e ->

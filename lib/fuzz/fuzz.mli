@@ -37,12 +37,6 @@ val run :
     draws only branching masked-IR programs — guarded stores, selects,
     masked loads — instead of the classic shape mix. *)
 
-val normalize_ids : string -> string
-(** Alpha-rename every [%label] in printed IR by first appearance.
-    Instruction labels embed a process-global id counter, so two pipeline
-    runs over clones of one function are never byte-identical — after this
-    renaming, textual equality means structural equality. *)
-
 type case_outcome = {
   case : int;
   ok : bool;

@@ -80,23 +80,41 @@ let mem_symbol s a = List.mem_assoc s a.terms
 let eval ~env a =
   List.fold_left (fun acc (s, c) -> acc + (c * env s)) a.const a.terms
 
-let pp ppf a =
-  let pp_term first ppf (s, c) =
-    if c = 1 then Fmt.pf ppf (if first then "%s" else " + %s") s
-    else if c = -1 then Fmt.pf ppf (if first then "-%s" else " - %s") s
-    else if c >= 0 then Fmt.pf ppf (if first then "%d*%s" else " + %d*%s") c s
-    else
-      Fmt.pf ppf (if first then "-%d*%s" else " - %d*%s") (abs c) s
+(* The one writer of the textual form: terms in symbol order, each sign
+   folded into its separator ("-i", " - 2*j"), a unit coefficient left
+   implicit, then a nonzero constant.  [pp], [to_string] and the IR
+   printer all go through it. *)
+let to_buffer b a =
+  let add_int n = Buffer.add_string b (string_of_int n) in
+  let add_term first (s, c) =
+    if c < 0 then Buffer.add_string b (if first then "-" else " - ")
+    else if not first then Buffer.add_string b " + ";
+    if c <> 1 && c <> -1 then begin
+      add_int (abs c);
+      Buffer.add_char b '*'
+    end;
+    Buffer.add_string b s
   in
   match a.terms with
-  | [] -> Fmt.int ppf a.const
+  | [] -> add_int a.const
   | t0 :: rest ->
-    pp_term true ppf t0;
-    List.iter (pp_term false ppf) rest;
-    if a.const > 0 then Fmt.pf ppf " + %d" a.const
-    else if a.const < 0 then Fmt.pf ppf " - %d" (abs a.const)
+    add_term true t0;
+    List.iter (add_term false) rest;
+    if a.const > 0 then begin
+      Buffer.add_string b " + ";
+      add_int a.const
+    end
+    else if a.const < 0 then begin
+      Buffer.add_string b " - ";
+      add_int (abs a.const)
+    end
 
-let to_string a = Fmt.str "%a" pp a
+let to_string a =
+  let b = Buffer.create 16 in
+  to_buffer b a;
+  Buffer.contents b
+
+let pp ppf a = Fmt.string ppf (to_string a)
 
 let terms a = a.terms
 let const_part a = a.const

@@ -47,6 +47,10 @@ val mem_symbol : string -> t -> bool
 val eval : env:(string -> int) -> t -> int
 (** Evaluate under an assignment of the symbols. *)
 
+val to_buffer : Buffer.t -> t -> unit
+(** Append the textual form ([4*i + 1], [-j - 2]); {!pp}, {!to_string}
+    and the IR printer all use this one writer. *)
+
 val pp : t Fmt.t
 val to_string : t -> string
 

@@ -38,10 +38,6 @@ let loop_info b = match b.kind with Straight -> None | Loop li -> Some li
 
 let is_loop b = match b.kind with Straight -> false | Loop _ -> true
 
-let pp_bound ppf = function
-  | Bound_const k -> Fmt.int ppf k
-  | Bound_sym s -> Fmt.string ppf s
-
 (* Number of iterations, when the bound is a compile-time constant. *)
 let trip_count li =
   match li.l_stop with

@@ -27,7 +27,6 @@ val label : t -> string
 val kind : t -> kind
 val loop_info : t -> loop_info option
 val is_loop : t -> bool
-val pp_bound : bound Fmt.t
 
 val trip_count : loop_info -> int option
 (** Number of iterations when the bound is constant; [None] for symbolic

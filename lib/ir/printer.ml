@@ -1,101 +1,241 @@
 (* Textual form of the IR, LLVM-flavoured.  The printer is total: any
    well-formed or ill-formed instruction prints without raising, so it is
-   safe to use in error paths and debug logs. *)
+   safe to use in error paths and debug logs.
 
-let pp_const ppf = function
-  | Instr.Cint n -> Fmt.pf ppf "%Ld" n
-  | Instr.Cfloat x -> Fmt.pf ppf "%h" x
-  | Instr.Cint32 n -> Fmt.pf ppf "%ldl" n
-  | Instr.Cfloat32 x -> Fmt.pf ppf "%hf" x
+   One Buffer core writes every form, parameterised by how an instruction
+   label is spelled:
+   - raw: [%name.id] / [%vid], embedding the process-global instruction id
+     ([func_to_string], [pp_func] and the other [pp_*] wrappers);
+   - canonical: [%rK], K numbered by first appearance ([canonical]).
+   [canonical f] equals [Lslp_util.Normalize.ids (func_to_string f)] byte
+   for byte, without Format or a second pass over the text.  The compile
+   service (cache key and result IR), the fuzzer's cache differential and
+   the domain smoke render with it; [Normalize.ids] remains its reference
+   in the equivalence test and the perfbench replay, and renames remark
+   text. *)
 
-let pp_const_readable ppf = function
-  | Instr.Cint n -> Fmt.pf ppf "%Ld" n
-  | Instr.Cfloat x ->
-    (* prefer a short decimal form when it round-trips *)
-    let s = Fmt.str "%.12g" x in
-    if float_of_string s = x then Fmt.string ppf s else Fmt.pf ppf "%h" x
-  | Instr.Cint32 n -> Fmt.pf ppf "%ldl" n
-  | Instr.Cfloat32 x ->
-    let s = Fmt.str "%.7g" x in
-    if float_of_string s = x then Fmt.pf ppf "%sf" s else Fmt.pf ppf "%hf" x
+module Int_table = Lslp_util.Int_table
+
+(* How a label is spelled: [%name.id] / [%vid], or [%rK] with K from the
+   table of instruction ids seen so far. *)
+type labels = Raw | Canonical of Int_table.t
+
+let add_int b n = Buffer.add_string b (string_of_int n)
+
+(* [x1, x2, ...] *)
+let add_list b add xs =
+  List.iteri
+    (fun k x ->
+      if k > 0 then Buffer.add_string b ", ";
+      add x)
+    xs
 
 (* Labels embed the instruction id so they are always unique, even when two
-   instructions share a printing hint. *)
-let inst_label (i : Instr.t) =
-  if String.equal i.name "" then Fmt.str "%%v%d" i.id
-  else Fmt.str "%%%s.%d" i.name i.id
+   instructions share a printing hint.  A raw label is then a function of
+   the id and, with an identifier for a name, one Normalize.ids token, so
+   numbering ids by first appearance is exactly what Normalize.ids does to
+   the raw text. *)
+let add_label b labels (i : Instr.t) =
+  match labels with
+  | Raw when String.equal i.name "" ->
+    Buffer.add_string b "%v";
+    add_int b i.id
+  | Raw ->
+    Buffer.add_char b '%';
+    Buffer.add_string b i.name;
+    Buffer.add_char b '.';
+    add_int b i.id
+  | Canonical ks ->
+    let next () = Int_table.length ks in
+    Buffer.add_string b "%r";
+    add_int b (Int_table.get_or_add ks i.id ~default:next)
 
-let pp_value ppf = function
-  | Instr.Const c -> pp_const_readable ppf c
-  | Instr.Arg a -> Fmt.string ppf a.arg_name
-  | Instr.Ins i -> Fmt.string ppf (inst_label i)
+(* Short decimal when it reads back as the same float, hex-float otherwise:
+   the one place the hex-float fallback lives. *)
+let readable_float short x =
+  if float_of_string short = x then short else Printf.sprintf "%h" x
 
-let pp_address ppf (a : Instr.address) =
-  if a.access_lanes > 1 then
-    Fmt.pf ppf "<%d x %a> %s[%a]" a.access_lanes Types.pp_scalar a.elt a.base
-      Affine.pp a.index
-  else Fmt.pf ppf "%s[%a]" a.base Affine.pp a.index
+let add_const b = function
+  | Instr.Cint n -> Buffer.add_string b (Int64.to_string n)
+  | Instr.Cfloat x ->
+    Buffer.add_string b (readable_float (Printf.sprintf "%.12g" x) x)
+  | Instr.Cint32 n ->
+    Buffer.add_string b (Int32.to_string n);
+    Buffer.add_char b 'l'
+  | Instr.Cfloat32 x ->
+    Buffer.add_string b (readable_float (Printf.sprintf "%.7g" x) x);
+    Buffer.add_char b 'f'
 
-let pp_instr ppf (i : Instr.t) =
-  let lhs ppf () = Fmt.pf ppf "%s : %a = " (inst_label i) Types.pp i.ty in
+let add_value b labels = function
+  | Instr.Const c -> add_const b c
+  | Instr.Arg a -> Buffer.add_string b a.arg_name
+  | Instr.Ins i -> add_label b labels i
+
+let add_address b (a : Instr.address) =
+  if a.access_lanes > 1 then begin
+    Types.to_buffer b (Types.Vec (a.elt, a.access_lanes));
+    Buffer.add_char b ' '
+  end;
+  Buffer.add_string b a.base;
+  Buffer.add_char b '[';
+  Affine.to_buffer b a.index;
+  Buffer.add_char b ']'
+
+(* "%label : ty = op" *)
+let add_lhs b labels (i : Instr.t) op =
+  add_label b labels i;
+  Buffer.add_string b " : ";
+  Types.to_buffer b i.ty;
+  Buffer.add_string b " = ";
+  Buffer.add_string b op
+
+let add_values b labels vs = add_list b (add_value b labels) vs
+
+(* "addr, v1, v2" *)
+let add_access b labels a vs =
+  add_address b a;
+  List.iter
+    (fun v ->
+      Buffer.add_string b ", ";
+      add_value b labels v)
+    vs
+
+let add_instr b labels (i : Instr.t) =
+  let str = Buffer.add_string b in
   match i.kind with
   | Instr.Binop (op, x, y) ->
-    Fmt.pf ppf "%a%a %a, %a" lhs () Opcode.pp_binop op pp_value x pp_value y
+    add_lhs b labels i (Opcode.binop_name op);
+    str " ";
+    add_values b labels [ x; y ]
   | Instr.Unop (op, x) ->
-    Fmt.pf ppf "%a%a %a" lhs () Opcode.pp_unop op pp_value x
-  | Instr.Load a -> Fmt.pf ppf "%aload %a" lhs () pp_address a
-  | Instr.Store (a, v) -> Fmt.pf ppf "store %a, %a" pp_address a pp_value v
+    add_lhs b labels i (Opcode.unop_name op);
+    str " ";
+    add_value b labels x
+  | Instr.Load a ->
+    add_lhs b labels i "load ";
+    add_address b a
+  | Instr.Store (a, v) ->
+    str "store ";
+    add_access b labels a [ v ]
   | Instr.Cmp (op, x, y) ->
-    Fmt.pf ppf "%acmp.%a %a, %a" lhs () Opcode.pp_cmp op pp_value x pp_value y
+    add_lhs b labels i "cmp.";
+    str (Opcode.cmp_name op);
+    str " ";
+    add_values b labels [ x; y ]
   | Instr.Select (m, x, y) ->
-    Fmt.pf ppf "%aselect %a, %a, %a" lhs () pp_value m pp_value x pp_value y
+    add_lhs b labels i "select ";
+    add_values b labels [ m; x; y ]
   | Instr.Masked_load (a, m, p) ->
-    Fmt.pf ppf "%amasked.load %a, %a, %a" lhs () pp_address a pp_value m
-      pp_value p
+    add_lhs b labels i "masked.load ";
+    add_access b labels a [ m; p ]
   | Instr.Masked_store (a, v, m) ->
-    Fmt.pf ppf "masked.store %a, %a, %a" pp_address a pp_value v pp_value m
-  | Instr.Splat v -> Fmt.pf ppf "%asplat %a" lhs () pp_value v
+    str "masked.store ";
+    add_access b labels a [ v; m ]
+  | Instr.Splat v ->
+    add_lhs b labels i "splat ";
+    add_value b labels v
   | Instr.Buildvec vs ->
-    Fmt.pf ppf "%abuildvec [%a]" lhs () Fmt.(list ~sep:(any ", ") pp_value) vs
+    add_lhs b labels i "buildvec [";
+    add_values b labels vs;
+    str "]"
   | Instr.Extract (v, lane) ->
-    Fmt.pf ppf "%aextract %a, %d" lhs () pp_value v lane
+    add_lhs b labels i "extract ";
+    add_value b labels v;
+    str ", ";
+    add_int b lane
   | Instr.Reduce (op, v) ->
-    Fmt.pf ppf "%areduce.%a %a" lhs () Opcode.pp_binop op pp_value v
+    add_lhs b labels i "reduce.";
+    str (Opcode.binop_name op);
+    str " ";
+    add_value b labels v
   | Instr.Shuffle (v, idx) ->
-    Fmt.pf ppf "%ashuffle %a, [%a]" lhs () pp_value v
-      Fmt.(list ~sep:(any ", ") int) idx
+    add_lhs b labels i "shuffle ";
+    add_value b labels v;
+    str ", [";
+    add_list b (add_int b) idx;
+    str "]"
 
-let pp_arg ppf (a : Instr.arg) =
+let arg_to_string (a : Instr.arg) =
   match a.arg_ty with
-  | Instr.Int_arg -> Fmt.pf ppf "i64 %s" a.arg_name
-  | Instr.Float_arg -> Fmt.pf ppf "f64 %s" a.arg_name
-  | Instr.Array_arg elt ->
-    Fmt.pf ppf "%a %s[]" Types.pp_scalar elt a.arg_name
+  | Instr.Int_arg -> "i64 " ^ a.arg_name
+  | Instr.Float_arg -> "f64 " ^ a.arg_name
+  | Instr.Array_arg elt -> Types.scalar_name elt ^ " " ^ a.arg_name ^ "[]"
 
-let pp_block_header ppf b =
-  match Block.kind b with
-  | Block.Straight -> Fmt.pf ppf "%s:" (Block.label b)
-  | Block.Loop li ->
-    Fmt.pf ppf "%s: for (%s = %d; %s < %a; %s += %d)" (Block.label b)
-      li.Block.counter li.Block.l_start li.Block.counter Block.pp_bound
-      li.Block.l_stop li.Block.counter li.Block.l_step
+(* Once-per-block and once-per-function lines go through Printf; only the
+   instruction lines are hot. *)
+let add_block_header b blk =
+  match Block.kind blk with
+  | Block.Straight -> Printf.bprintf b "%s:" (Block.label blk)
+  | Block.Loop { counter = c; l_start; l_stop; l_step } ->
+    let stop =
+      match l_stop with
+      | Block.Bound_const k -> string_of_int k
+      | Block.Bound_sym s -> s
+    in
+    Printf.bprintf b "%s: for (%s = %d; %s < %s; %s += %d)" (Block.label blk)
+      c l_start c stop c l_step
 
-let pp_func ppf (f : Func.t) =
-  Fmt.pf ppf "@[<v>kernel %s(%a) {@," f.fname
-    Fmt.(list ~sep:(any ", ") pp_arg)
-    f.args;
+(* The one function traversal: writes [f] line by line into [b], calling
+   [eol] after every line but the closing brace. *)
+let add_func b labels ~eol (f : Func.t) =
+  Printf.bprintf b "kernel %s(%s) {" f.fname
+    (String.concat ", " (List.map arg_to_string f.args));
+  eol ();
+  let add_body blk =
+    Block.iter
+      (fun i ->
+        Buffer.add_string b "  ";
+        add_instr b labels i;
+        eol ())
+      blk
+  in
   (match Func.blocks f with
-   | [ b ] when not (Block.is_loop b) ->
+   | [ blk ] when not (Block.is_loop blk) ->
      (* the straight-line common case keeps the historical flat form *)
-     Block.iter (fun i -> Fmt.pf ppf "  %a@," pp_instr i) b
+     add_body blk
    | bs ->
      List.iter
-       (fun b ->
-         Fmt.pf ppf "%a@," pp_block_header b;
-         Block.iter (fun i -> Fmt.pf ppf "  %a@," pp_instr i) b)
+       (fun blk ->
+         add_block_header b blk;
+         eol ();
+         add_body blk)
        bs);
-  Fmt.pf ppf "}@]"
+  Buffer.add_char b '}'
 
-let instr_to_string i = Fmt.str "%a" pp_instr i
-let func_to_string f = Fmt.str "%a" pp_func f
-let value_to_string v = Fmt.str "%a" pp_value v
+(* 1 KiB = 128 words: the initial buffer stays in the minor heap. *)
+let render labels f =
+  let b = Buffer.create 1024 in
+  add_func b labels ~eol:(fun () -> Buffer.add_char b '\n') f;
+  Buffer.contents b
+
+let func_to_string f = render Raw f
+let canonical f = render (Canonical (Int_table.create 64)) f
+
+let small_to_string add x =
+  let b = Buffer.create 64 in
+  add b x;
+  Buffer.contents b
+
+let instr_to_string i = small_to_string (fun b -> add_instr b Raw) i
+let value_to_string v = small_to_string (fun b -> add_value b Raw) v
+let pp_const_readable ppf c = Fmt.string ppf (small_to_string add_const c)
+let pp_value ppf v = Fmt.string ppf (value_to_string v)
+let pp_instr ppf i = Fmt.string ppf (instr_to_string i)
+
+(* A vertical box with a cut per line, so output nested in other boxes (CLI
+   dumps, diagnostics) indents every line; each line reaches Format as one
+   string. *)
+let pp_func ppf f =
+  let b = Buffer.create 128 in
+  let flush () =
+    Fmt.string ppf (Buffer.contents b);
+    Buffer.clear b
+  in
+  Format.pp_open_vbox ppf 0;
+  add_func b Raw
+    ~eol:(fun () ->
+      flush ();
+      Fmt.cut ppf ())
+    f;
+  flush ();
+  Format.pp_close_box ppf ()

@@ -65,16 +65,29 @@ let equal_scalar (a : scalar) (b : scalar) = a = b
 
 let equal (a : t) (b : t) = a = b
 
-let pp_scalar ppf = function
-  | I64 -> Fmt.string ppf "i64"
-  | F64 -> Fmt.string ppf "f64"
-  | I32 -> Fmt.string ppf "i32"
-  | F32 -> Fmt.string ppf "f32"
-  | I1 -> Fmt.string ppf "i1"
+let scalar_name = function
+  | I64 -> "i64"
+  | F64 -> "f64"
+  | I32 -> "i32"
+  | F32 -> "f32"
+  | I1 -> "i1"
 
-let pp ppf = function
-  | Scalar s -> pp_scalar ppf s
-  | Vec (s, n) -> Fmt.pf ppf "<%d x %a>" n pp_scalar s
-  | Void -> Fmt.string ppf "void"
+(* The one writer of the textual form; [pp], [to_string] and the IR
+   printer all go through it. *)
+let to_buffer b = function
+  | Scalar s -> Buffer.add_string b (scalar_name s)
+  | Vec (s, n) ->
+    Buffer.add_char b '<';
+    Buffer.add_string b (string_of_int n);
+    Buffer.add_string b " x ";
+    Buffer.add_string b (scalar_name s);
+    Buffer.add_char b '>'
+  | Void -> Buffer.add_string b "void"
 
-let to_string ty = Fmt.str "%a" pp ty
+let to_string ty =
+  let b = Buffer.create 16 in
+  to_buffer b ty;
+  Buffer.contents b
+
+let pp_scalar ppf s = Fmt.string ppf (scalar_name s)
+let pp ppf ty = Fmt.string ppf (to_string ty)

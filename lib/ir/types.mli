@@ -46,6 +46,14 @@ val widen : t -> int -> t
 
 val equal_scalar : scalar -> scalar -> bool
 val equal : t -> t -> bool
+
+val scalar_name : scalar -> string
+(** ["i64"], ["f64"], ["i32"], ["f32"] or ["i1"]. *)
+
+val to_buffer : Buffer.t -> t -> unit
+(** Append the textual form ([f64], [<4 x i32>], [void]); {!pp},
+    {!to_string} and the IR printer all use this one writer. *)
+
 val pp_scalar : scalar Fmt.t
 val pp : t Fmt.t
 val to_string : t -> string

@@ -1,9 +1,10 @@
 (* The verified result cache.
 
-   Content-addressed: the canonical key is the digest of the alpha-renamed
-   printed input IR crossed with Config.fingerprint, so two textually
-   different sources that lower to the same function share one entry and a
-   config knob that changes output splits them.  A second "front" table
+   Content-addressed: the canonical key is the digest of the input IR as
+   Printer.canonical renders it (labels numbered by first appearance, one
+   pass) crossed with Config.fingerprint, so two textually different
+   sources that lower to the same function share one entry and a config
+   knob that changes output splits them.  A second "front" table
    maps the digest of the raw (source, unroll, fingerprint) triple to the
    canonical key so a warm hit skips parsing entirely — without it the
    warm path would still pay the frontend, which costs more than a third

@@ -1,7 +1,7 @@
 (** The compile service's verified result cache.
 
     Content-addressed: the canonical key is
-    [digest (alpha-renamed input IR, Config.fingerprint)], so caching is
+    [digest (Printer.canonical input IR, Config.fingerprint)], so caching is
     keyed by {e what the pipeline would see}, not by source spelling; a
     front table keyed by [digest (source, unroll, fingerprint)] lets warm
     hits skip the frontend entirely.
@@ -18,7 +18,7 @@
     Thread-safe: one internal mutex; safe to share across pool domains. *)
 
 type cached = {
-  ir : string;  (** alpha-renamed printed output IR *)
+  ir : string;  (** output IR as [Printer.canonical] renders it *)
   remarks : string list;
   counters : (string * int) list;
   vectorized : int;

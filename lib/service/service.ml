@@ -112,12 +112,16 @@ let compile_job t (job : job) ~inject ~deadline =
   | None -> (
     let func = Lslp_frontend.Lower.compile_string job.source in
     ignore (Lslp_frontend.Unroll.run ~factor:job.unroll func);
-    let input_norm =
-      Lslp_util.Normalize.ids (Fmt.str "%a" Lslp_ir.Printer.pp_func func)
+    (* the canonical input text is the content key: only the cache reads
+       it, so a cache-off service never renders the input *)
+    let keyed =
+      match t.cache with
+      | Some c -> Some (c, Lslp_ir.Printer.canonical func)
+      | None -> None
     in
     let content_hit =
-      match t.cache with
-      | Some c ->
+      match keyed with
+      | Some (c, input_norm) ->
         Cache.find_by_ir c ~label:job.label ~source_key:skey ~input_norm
           ~fingerprint:t.fingerprint ~poison
       | None -> None
@@ -128,7 +132,7 @@ let compile_job t (job : job) ~inject ~deadline =
       (* snapshot before the pass mutates [func]: the cache will replay
          legality against exactly these instruction identities *)
       let snap =
-        match t.cache with
+        match keyed with
         | Some _ -> Some (Legality.snapshot func)
         | None -> None
       in
@@ -142,17 +146,15 @@ let compile_job t (job : job) ~inject ~deadline =
         | None -> c
       in
       let report = Pipeline.run ~metrics:t.pass_metrics ~config func in
-      let ir =
-        Lslp_util.Normalize.ids (Fmt.str "%a" Lslp_ir.Printer.pp_func func)
-      in
+      let ir = Lslp_ir.Printer.canonical func in
       let remarks =
         List.map
           (Fmt.str "%a" Lslp_check.Remark.pp)
           report.Pipeline.remarks
       in
       let counters = counters_of_report report in
-      (match (t.cache, snap) with
-       | Some c, Some snap
+      (match (keyed, snap) with
+       | Some (c, input_norm), Some snap
          when inject = None
               && report.Pipeline.degraded_regions = 0
               && Diagnostic.errors report.Pipeline.diagnostics = [] ->

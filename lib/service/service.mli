@@ -5,7 +5,7 @@
 
     A {!job} is compiled by the frontend and [Lslp_core.Pipeline.run]
     {e in place}; the result travels back as printable strings
-    (alpha-renamed IR, remarks, counters), so outcomes compare across
+    (canonical IR, remarks, counters), so outcomes compare across
     domains and across cache hits.  Every fault ends in exactly one typed
     {!Pool.outcome} — never a hang, never an escaped exception, and other
     jobs in the batch are unaffected (the fault-survival property
@@ -19,7 +19,7 @@ type job = {
 
 type success = {
   label : string;
-  ir : string;  (** alpha-renamed printed IR after the pass *)
+  ir : string;  (** IR after the pass, as [Printer.canonical] renders it *)
   remarks : string list;
   counters : (string * int) list;  (** [Probe.counter_fields] order *)
   vectorized : int;

@@ -4,9 +4,14 @@
    %label (see Lslp_ir.Printer), so two pipeline runs in one process are
    never textually identical even when they build the same instructions.
    Renaming every %token by first appearance makes textual equality mean
-   structural equality — the invariant behind the fuzzer's differential
-   checks, the domain-determinism smoke and the service's content-addressed
-   cache key. *)
+   structural equality.
+
+   Lslp_ir.Printer.canonical produces the same text for a whole function
+   in one printing pass; the service cache, the fuzzer's cache
+   differential and the domain smoke use that.  This string pass is
+   canonical's reference (the equivalence test and the perfbench replay
+   compare against it) and renames text the printer does not own, such as
+   remark lines. *)
 
 let ids s =
   let b = Buffer.create (String.length s) in

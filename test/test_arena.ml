@@ -10,8 +10,6 @@
 open Lslp_ir
 open Lslp_analysis
 
-let print_func f = Lslp_fuzz.Fuzz.normalize_ids (Fmt.str "%a" Printer.pp_func f)
-
 (* Naive recount of operand occurrences, straight off the block. *)
 let naive_uses (block : Block.t) =
   let counts = Hashtbl.create 32 in
@@ -71,15 +69,15 @@ let arena_agrees (block : Block.t) =
   !ok
 
 (* Rebuild each block's instruction view purely from its arena, then
-   compare the printed (id-normalized) function against the original. *)
+   compare the canonically printed function against the original. *)
 let roundtrip_identical (f : Func.t) =
-  let before = print_func f in
+  let before = Printer.canonical f in
   List.iter
     (fun b ->
       let a = Arena.of_block b in
       Block.set_order b (List.init (Arena.size a) (Arena.instr a)))
     (Func.blocks f);
-  let after = print_func f in
+  let after = Printer.canonical f in
   String.equal before after
 
 let prop_pre (d : Test_qcheck.kdesc) =

@@ -4,6 +4,7 @@ let () =
       ("affine", Test_affine.suite);
       ("ir", Test_ir.suite);
       ("verifier-printer", Test_verifier.suite);
+      ("canonical", Test_canonical.suite);
       ("frontend", Test_frontend.suite);
       ("loops", Test_loops.suite);
       ("analysis", Test_analysis.suite);

@@ -16,13 +16,12 @@ module Report = Lslp_telemetry.Report
 module Score_cache = Lslp_telemetry.Score_cache
 module Budget = Lslp_robust.Budget
 module Catalog = Lslp_kernels.Catalog
-module Fuzz = Lslp_fuzz.Fuzz
 module Gen = Lslp_fuzz.Gen
 
 let unroll_factor = 4
 
 (* Region formation + pipeline on a clone, like the lslpc driver; returns
-   the report and the alpha-renamed printed IR (instruction labels embed a
+   the report and the canonical printed IR (instruction labels embed a
    process-global counter, so raw text never matches across runs). *)
 let run_with ~cache ?(config = Config.lslp) reference =
   let candidate = Func.clone reference in
@@ -30,7 +29,7 @@ let run_with ~cache ?(config = Config.lslp) reference =
   let report =
     Pipeline.run ~config:(Config.with_score_cache cache config) candidate
   in
-  (report, Fuzz.normalize_ids (Fmt.str "%a" Printer.pp_func candidate))
+  (report, Printer.canonical candidate)
 
 let total (report : Pipeline.report) =
   Report.total_counters report.Pipeline.telemetry

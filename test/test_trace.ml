@@ -23,7 +23,6 @@ module Probe = Lslp_telemetry.Probe
 module Report = Lslp_telemetry.Report
 module Inject = Lslp_robust.Inject
 module Catalog = Lslp_kernels.Catalog
-module Fuzz = Lslp_fuzz.Fuzz
 module Gen = Lslp_fuzz.Gen
 
 let unroll_factor = 4
@@ -32,7 +31,7 @@ let run_with ?(trace = false) ?(config = Config.lslp) reference =
   let candidate = Func.clone reference in
   ignore (Lslp_frontend.Unroll.run ~factor:unroll_factor candidate);
   let report = Pipeline.run ~config:(Config.with_trace trace config) candidate in
-  (report, Fuzz.normalize_ids (Fmt.str "%a" Printer.pp_func candidate))
+  (report, Printer.canonical candidate)
 
 let traced ?config key =
   let report, _ = run_with ~trace:true ?config (kernel key) in
