@@ -15,8 +15,8 @@
                            comparison to FAIL (exits 0 iff drift detected)
 
    Wall-clock never enters the snapshot — this gate catches algorithmic
-   regressions (a cache that stopped hitting, a region that stopped
-   vectorizing), not machine noise. *)
+   regressions (a reorder that scores more comparisons, a region that
+   stopped vectorizing), not machine noise. *)
 
 open Lslp_core
 module Json = Lslp_util.Json

@@ -11,11 +11,10 @@
      trace    record the decision trace and export it as Chrome trace-event
               JSON (Perfetto), Graphviz DOT or a decision log
      stats    run the whole kernel catalog and tabulate the telemetry
-              counters (score evaluations, cache hits, graph nodes, ...)
+              counters (score evaluations, graph nodes, regions, ...)
      kernels  list the built-in kernel catalog
      show     print a catalog kernel's source and IR
      fuzz     differential fuzzing: random kernels vs the scalar oracle
-              (--config cache-diff checks the memoized scorer instead)
      batch    compile the catalog on the fault-isolated Domain-pool
               service: per-job deadlines, retries with backoff,
               backpressure and a verified result cache
@@ -36,7 +35,7 @@
      lslpc trace examples/kernels/loop_saxpy.k --trace-format chrome
      lslpc analyze --kernel 464.motivation-multi --dot | dot -Tsvg
      lslpc stats --config lslp
-     lslpc fuzz --cases 200 --config cache-diff
+     lslpc fuzz --cases 200 --config cond
 *)
 
 open Cmdliner
@@ -89,15 +88,6 @@ let apply_inject inject config =
   match inject with
   | Some i -> Lslp_core.Config.with_inject i config
   | None -> config
-
-let no_score_cache_arg =
-  Arg.(value & flag
-       & info [ "no-score-cache" ]
-           ~doc:"Disable the memoized look-ahead scorer (same results, \
-                 more score evaluations).")
-
-let apply_score_cache no_cache config =
-  if no_cache then Lslp_core.Config.with_score_cache false config else config
 
 let stats_arg =
   Arg.(value & flag
@@ -278,15 +268,14 @@ let print_diagnostics diags =
 
 let compile_cmd =
   let run file kernel config unroll inject dump_ir dump_graph quiet
-      verify_output no_cache stats stats_json trace_out trace_format verbose
-      =
+      verify_output stats stats_json trace_out trace_format verbose =
     handle_errors @@ fun () ->
     setup_logs verbose;
     let config =
       if verify_output then Lslp_core.Config.with_validate true config
       else config
     in
-    let config = apply_inject inject (apply_score_cache no_cache config) in
+    let config = apply_inject inject config in
     let config = apply_trace trace_out config in
     let f = load_kernel ~unroll file kernel in
     if dump_ir then
@@ -335,13 +324,13 @@ let compile_cmd =
     (Cmd.info "compile" ~doc:"Vectorize a kernel and report what happened")
     Term.(const run $ file_arg $ kernel_arg $ config_arg $ unroll_arg
           $ inject_arg $ dump_ir $ dump_graph $ quiet $ verify_output_arg
-          $ no_score_cache_arg $ stats_arg $ stats_json_arg $ trace_out_arg
-          $ trace_format_arg $ verbose_arg)
+          $ stats_arg $ stats_json_arg $ trace_out_arg $ trace_format_arg
+          $ verbose_arg)
 
 (* ---- run --------------------------------------------------------- *)
 
 let run_cmd =
-  let run file kernel config unroll inject seed verify_output no_cache stats
+  let run file kernel config unroll inject seed verify_output stats
       stats_json trace_out trace_format verbose =
     handle_errors @@ fun () ->
     setup_logs verbose;
@@ -349,7 +338,7 @@ let run_cmd =
       if verify_output then Lslp_core.Config.with_validate true config
       else config
     in
-    let config = apply_inject inject (apply_score_cache no_cache config) in
+    let config = apply_inject inject config in
     let config = apply_trace trace_out config in
     (* the reference is the kernel as written (loops intact), so the oracle
        checks region formation and vectorization together *)
@@ -386,21 +375,20 @@ let run_cmd =
     (Cmd.info "run"
        ~doc:"Vectorize a kernel, simulate scalar vs vector, compare")
     Term.(const run $ file_arg $ kernel_arg $ config_arg $ unroll_arg
-          $ inject_arg $ seed $ verify_output_arg $ no_score_cache_arg
-          $ stats_arg $ stats_json_arg $ trace_out_arg $ trace_format_arg
-          $ verbose_arg)
+          $ inject_arg $ seed $ verify_output_arg $ stats_arg
+          $ stats_json_arg $ trace_out_arg $ trace_format_arg $ verbose_arg)
 
 (* ---- analyze ------------------------------------------------------ *)
 
 let analyze_cmd =
-  let run file kernel config unroll inject json dot no_cache stats stats_json
+  let run file kernel config unroll inject json dot stats stats_json
       trace_out trace_format verbose =
     handle_errors @@ fun () ->
     setup_logs verbose;
     let config =
       Lslp_core.Config.(config |> with_remarks true |> with_validate true)
     in
-    let config = apply_inject inject (apply_score_cache no_cache config) in
+    let config = apply_inject inject config in
     let config =
       if dot then Lslp_core.Config.with_trace true config
       else apply_trace trace_out config
@@ -450,16 +438,16 @@ let analyze_cmd =
          "Explain the vectorizer's decisions: one remark per region \
           considered, with the legality validator's verdict")
     Term.(const run $ file_arg $ kernel_arg $ config_arg $ unroll_arg
-          $ inject_arg $ json $ dot $ no_score_cache_arg $ stats_arg
-          $ stats_json_arg $ trace_out_arg $ trace_format_arg $ verbose_arg)
+          $ inject_arg $ json $ dot $ stats_arg $ stats_json_arg
+          $ trace_out_arg $ trace_format_arg $ verbose_arg)
 
 (* ---- trace -------------------------------------------------------- *)
 
 let trace_cmd =
-  let run file kernel config unroll inject format out all no_cache verbose =
+  let run file kernel config unroll inject format out all verbose =
     handle_errors @@ fun () ->
     setup_logs verbose;
-    let config = apply_inject inject (apply_score_cache no_cache config) in
+    let config = apply_inject inject config in
     let config = Lslp_core.Config.with_trace true config in
     let validated_chrome ~what events ~func_name =
       let chrome =
@@ -528,16 +516,14 @@ let trace_cmd =
           it as Chrome trace-event JSON (Perfetto), Graphviz DOT or a \
           decision log")
     Term.(const run $ file_arg $ kernel_arg $ config_arg $ unroll_arg
-          $ inject_arg $ trace_format_arg $ out $ all $ no_score_cache_arg
-          $ verbose_arg)
+          $ inject_arg $ trace_format_arg $ out $ all $ verbose_arg)
 
 (* ---- stats -------------------------------------------------------- *)
 
 let stats_cmd =
-  let run config unroll no_cache json =
+  let run config unroll json =
     handle_errors @@ fun () ->
     setup_logs false;
-    let config = apply_score_cache no_cache config in
     let registry = Lslp_obs.Registry.create () in
     let pm = Lslp_telemetry.Pass_metrics.create ~root:"catalog" registry in
     let rows =
@@ -602,9 +588,9 @@ let stats_cmd =
     (Cmd.info "stats"
        ~doc:
          "Vectorize the whole kernel catalog and tabulate the telemetry \
-          counters (seeds, score evaluations, cache hits, graph nodes, \
-          regions) and the per-pass step histograms")
-    Term.(const run $ config_arg $ unroll_arg $ no_score_cache_arg $ json)
+          counters (seeds, score evaluations, graph nodes, regions) and \
+          the per-pass step histograms")
+    Term.(const run $ config_arg $ unroll_arg $ json)
 
 (* ---- fuzz --------------------------------------------------------- *)
 
@@ -612,8 +598,7 @@ let fuzz_cmd =
   let run cases seed config inject jobs json verbose =
     handle_errors @@ fun () ->
     setup_logs verbose;
-    if jobs > 1 && config <> Some "cache-diff" && config <> Some "cond"
-    then begin
+    if jobs > 1 && config <> Some "cond" then begin
       (* sharded on the service pool: every case derives from (seed, case)
          alone, then the whole run is replayed sequentially and compared
          case by case — sharding must be observationally invisible *)
@@ -667,9 +652,6 @@ let fuzz_cmd =
     else begin
       let stats =
         match config with
-        | Some "cache-diff" ->
-          (* differential check of the memoized scorer: cache on vs off *)
-          Lslp_fuzz.Fuzz.run_cache_diff ~cases ~seed ()
         | Some "cond" ->
           (* the branching arm: only masked-IR programs (guarded stores,
              selects, masked loads), configs still drawn from the pool *)
@@ -707,10 +689,8 @@ let fuzz_cmd =
   let config =
     let doc =
       "Pin one vectorizer configuration instead of drawing from the pool, \
-       $(b,cache-diff) to differentially test the memoized look-ahead \
-       scorer (cache on vs off must agree byte-for-byte), or $(b,cond) to \
-       fuzz only branching masked-IR programs (guarded stores, selects, \
-       masked loads) against the scalar oracle."
+       or $(b,cond) to fuzz only branching masked-IR programs (guarded \
+       stores, selects, masked loads) against the scalar oracle."
     in
     Arg.(value & opt (some string) None
          & info [ "c"; "config" ] ~docv:"CONFIG" ~doc)
@@ -1103,11 +1083,9 @@ let domains_cmd =
    the way `make bench-check` diffs counters (the fig14 compile-time
    hunt's instrument). *)
 let profile_cmd =
-  let run config unroll reps kernel no_cache folded_out metrics_out
-      metrics_format =
+  let run config unroll reps kernel folded_out metrics_out metrics_format =
     handle_errors @@ fun () ->
     setup_logs false;
-    let config = apply_score_cache no_cache config in
     let registry = Lslp_obs.Registry.create () in
     let pm = Lslp_telemetry.Pass_metrics.create ~root:"profile" registry in
     let kernels =
@@ -1164,9 +1142,8 @@ let profile_cmd =
          "Profile compile cost in deterministic pass-boundary steps: \
           catalog x N compiles into per-pass step histograms (percentile \
           table) and flamegraph-compatible folded stacks")
-    Term.(const run $ config_arg $ unroll_arg $ reps $ kernel
-          $ no_score_cache_arg $ folded_out $ metrics_out
-          $ metrics_format_arg)
+    Term.(const run $ config_arg $ unroll_arg $ reps $ kernel $ folded_out
+          $ metrics_out $ metrics_format_arg)
 
 (* ---- metrics-verify ----------------------------------------------- *)
 

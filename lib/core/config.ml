@@ -19,11 +19,6 @@ type t = {
   max_lanes : int option;  (* cap below the target's native width, if any *)
   threshold : int;         (* vectorize iff total cost < threshold *)
   score_combine : score_combine;
-  (* Memoize the recursive look-ahead score within each reorder invocation
-     (keyed by instr ids + remaining depth + combine mode).  Observationally
-     invisible — same operand orders, same IR, same remarks — it only cuts
-     repeated score evaluations; the differential test layer proves it. *)
-  score_cache : bool;
   model : Lslp_costmodel.Model.t;
   reductions : bool;       (* also vectorize horizontal reduction chains *)
   validate : bool;         (* run the post-pass legality validator *)
@@ -57,7 +52,6 @@ let lslp =
     max_lanes = None;
     threshold = 0;
     score_combine = Score_sum;
-    score_cache = true;
     model = default_model;
     reductions = true;
     validate = false;
@@ -86,7 +80,6 @@ let with_model model t = { t with model }
 let with_threshold threshold t = { t with threshold }
 let with_max_lanes n t = { t with max_lanes = Some n }
 let with_score_combine score_combine t = { t with score_combine }
-let with_score_cache score_cache t = { t with score_cache }
 let with_reductions reductions t = { t with reductions }
 let with_validate validate t = { t with validate }
 let with_remarks remarks t = { t with remarks }
@@ -131,7 +124,6 @@ let fingerprint t =
     (match t.max_lanes with Some n -> string_of_int n | None -> "native");
   add (string_of_int t.threshold);
   add (match t.score_combine with Score_sum -> "sum" | Score_max -> "max");
-  add (string_of_bool t.score_cache);
   add t.model.Lslp_costmodel.Model.target_name;
   add (string_of_bool t.reductions);
   add (string_of_bool t.validate);

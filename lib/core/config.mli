@@ -19,7 +19,6 @@ type t = {
   max_lanes : int option;
   threshold : int;
   score_combine : score_combine;
-  score_cache : bool;
   model : Lslp_costmodel.Model.t;
   reductions : bool;
   validate : bool;
@@ -47,15 +46,6 @@ val with_model : Lslp_costmodel.Model.t -> t -> t
 val with_threshold : int -> t -> t
 val with_max_lanes : int -> t -> t
 val with_score_combine : score_combine -> t -> t
-
-val with_score_cache : bool -> t -> t
-(** Memoize the recursive look-ahead score within each reorder invocation
-    (default on).  Observationally invisible: cached and uncached runs
-    produce identical operand orders, IR and remarks — the differential
-    test layer ([test_telemetry], [lslpc fuzz --config cache-diff])
-    enforces it.  Cache hits do not burn look-ahead fuel, so a tight
-    {!Lslp_robust.Budget} can only degrade {e fewer} regions with the
-    cache on, never more. *)
 
 val with_reductions : bool -> t -> t
 

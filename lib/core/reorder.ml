@@ -67,49 +67,10 @@ let pair_score (v1 : Instr.value) (v2 : Instr.value) =
    operand with its best counterpart is what the reorder will actually be
    able to realize, and an all-pairs sum would spuriously reward repeated
    operands (x*x vs x*y).  [Score_max] is the footnote-4 alternative: the
-   single best pair instead of the pairing sum.
-
-   [cache] memoizes instruction/instruction comparisons on (id, id,
-   remaining level, combine mode) — sound as long as the operand DAG is
-   frozen, which holds for the lifetime of one reorder invocation (see
-   Lslp_telemetry.Score_cache).  A cache hit skips the recursion entirely
-   and therefore burns no look-ahead fuel: under a tight budget the cached
-   run can only get further than the uncached one, never less far.
-   [probe] counts evaluations and cache hits/misses. *)
-let combine_tag = function Config.Score_sum -> 0 | Config.Score_max -> 1
-
-let rec lookahead_score ?meter ?cache ?probe
-    ~(combine : Config.score_combine) (v1 : Instr.value) (v2 : Instr.value)
-    ~(level : int) : int =
-  match (cache, v1, v2) with
-  | Some c, Instr.Ins i1, Instr.Ins i2 -> (
-    let a = i1.Instr.id and b = i2.Instr.id in
-    let mode = combine_tag combine in
-    match Lslp_telemetry.Score_cache.find c ~a ~b ~level ~mode with
-    | Some s ->
-      Option.iter
-        (fun p ->
-          let pc = Lslp_telemetry.Probe.counters p in
-          pc.Lslp_telemetry.Probe.score_hits <-
-            pc.Lslp_telemetry.Probe.score_hits + 1)
-        probe;
-      s
-    | None ->
-      Option.iter
-        (fun p ->
-          let pc = Lslp_telemetry.Probe.counters p in
-          pc.Lslp_telemetry.Probe.score_misses <-
-            pc.Lslp_telemetry.Probe.score_misses + 1)
-        probe;
-      let s = lookahead_score_compute ?meter ?cache ?probe ~combine v1 v2 ~level in
-      Lslp_telemetry.Score_cache.store c ~a ~b ~level ~mode s;
-      s)
-  | (Some _ | None), _, _ ->
-    lookahead_score_compute ?meter ?cache ?probe ~combine v1 v2 ~level
-
-and lookahead_score_compute ?meter ?cache ?probe
-    ~(combine : Config.score_combine) (v1 : Instr.value) (v2 : Instr.value)
-    ~(level : int) : int =
+   single best pair instead of the pairing sum.  [probe] counts
+   evaluations. *)
+let rec lookahead_score ?meter ?probe ~(combine : Config.score_combine)
+    (v1 : Instr.value) (v2 : Instr.value) ~(level : int) : int =
   (* Each recursive comparison burns one unit of fuel, so a pathological
      deeply-shared DAG bails with [Budget.Exhausted] instead of going
      exponential. *)
@@ -129,7 +90,7 @@ and lookahead_score_compute ?meter ?cache ?probe
            && (not (Instr.is_load a))
            && Instr.operands a <> [] && Instr.operands b <> [] -> (
       let score x y =
-        lookahead_score ?meter ?cache ?probe ~combine x y ~level:(level - 1)
+        lookahead_score ?meter ?probe ~combine x y ~level:(level - 1)
       in
       match (Instr.operands a, Instr.operands b, combine) with
       | [ a1; a2 ], [ b1; b2 ], Config.Score_sum ->
@@ -163,35 +124,13 @@ let remove_once pool v =
   go pool
 
 (* Listing 6: pick the best candidate for one slot in one lane.  Returns the
-   choice (None = deferred, slot already FAILED) and the updated mode.
-
-   [Config.score_cache] controls all memoization.  With it on and no
-   caller-supplied [cache], the tie-break still memoizes within itself:
-   [try_level] deepens from level 1 until the candidate scores separate,
-   and hoisting each candidate's per-level results into a candidate-local
-   cache makes every deepening step extend the previous one instead of
-   recomputing it.  A caller-supplied [cache] widens the reuse across
-   slots, lanes and candidates.  With [score_cache] off, scoring is the
-   paper's Listing 7 as written — the baseline the telemetry counters
-   measure against. *)
-let value_text (v : Instr.value) = Fmt.str "%a" Printer.pp_value v
-
-let get_best ?meter ?cache ?probe ?trace (config : Config.t) (mode : mode)
+   choice (None = deferred, slot already FAILED) and the updated mode. *)
+let get_best ?meter ?probe ?trace (config : Config.t) (mode : mode)
     (last : Instr.value) (candidates : Instr.value list) :
     Instr.value option * mode =
-  (* Decision-trace bookkeeping: the per-level scores of the tie-break and
-     the Score_cache traffic this call generated.  Reads only; the search
-     itself is untouched, traced or not. *)
+  (* Decision-trace bookkeeping: the per-level scores of the tie-break.
+     Reads only; the search itself is untouched, traced or not. *)
   let levels_acc = ref [] in
-  let cache_base =
-    match (trace, probe) with
-    | Some _, Some p ->
-      let c = Lslp_telemetry.Probe.counters p in
-      Some
-        ( c.Lslp_telemetry.Probe.score_hits,
-          c.Lslp_telemetry.Probe.score_misses )
-    | (Some _ | None), _ -> None
-  in
   let result =
     match mode with
     | Failed_mode -> (None, Failed_mode)
@@ -216,31 +155,12 @@ let get_best ?meter ?cache ?probe ?trace (config : Config.t) (mode : mode)
         ->
         (* look-ahead tie-break: deepen until the scores separate *)
         let combine = config.Config.score_combine in
-        let with_caches =
-          match cache with
-          | Some c -> List.map (fun cand -> (cand, Some c)) matching
-          | None when config.Config.score_cache ->
-            (* per-candidate hoist: level k+1 recurses through exactly the
-               (pair, level<=k) comparisons the level-k round computed for
-               this candidate, so each deepening step extends the previous
-               one instead of re-scoring from level 1. *)
-            List.map
-              (fun cand ->
-                (cand, Some (Lslp_telemetry.Score_cache.create ())))
-              matching
-          | None ->
-            (* memoization off: the paper's Listing 7 as written — the
-               baseline the telemetry counters measure speedups against *)
-            List.map (fun cand -> (cand, None)) matching
-        in
         let rec try_level level =
           let scores =
             List.map
-              (fun (c, ccache) ->
-                ( c,
-                  lookahead_score ?meter ?cache:ccache ?probe ~combine last c
-                    ~level ))
-              with_caches
+              (fun c ->
+                (c, lookahead_score ?meter ?probe ~combine last c ~level))
+              matching
           in
           if trace <> None then
             levels_acc := (level, List.map snd scores) :: !levels_acc;
@@ -265,24 +185,14 @@ let get_best ?meter ?cache ?probe ?trace (config : Config.t) (mode : mode)
   in
   Option.iter
     (fun tr ->
-      let cache_hits, cache_misses =
-        match (cache_base, probe) with
-        | Some (h0, m0), Some p ->
-          let c = Lslp_telemetry.Probe.counters p in
-          ( c.Lslp_telemetry.Probe.score_hits - h0,
-            c.Lslp_telemetry.Probe.score_misses - m0 )
-        | _ -> (0, 0)
-      in
       Lslp_trace.Trace.record tr
         (Lslp_trace.Trace.Get_best
            {
              mode = mode_to_string mode;
-             last = value_text last;
-             candidates = List.map value_text candidates;
+             last = Printer.value_to_string last;
+             candidates = List.map Printer.value_to_string candidates;
              levels = List.rev !levels_acc;
-             chosen = Option.map value_text (fst result);
-             cache_hits;
-             cache_misses;
+             chosen = Option.map Printer.value_to_string (fst result);
            }))
     trace;
   result
@@ -296,15 +206,6 @@ let reorder_matrix_modes ?meter ?probe ?trace (config : Config.t)
   let num_slots = Array.length columns in
   if num_slots = 0 then ([||], [||])
   else begin
-    (* One score cache per reorder invocation: the operand DAG is frozen
-       until this function returns, so memoizing on instruction ids is
-       sound, and dropping the cache here means a rollback (or any later
-       mutation) can never observe a stale entry. *)
-    let cache =
-      if config.Config.score_cache then
-        Some (Lslp_telemetry.Score_cache.create ())
-      else None
-    in
     let lanes = Array.length columns.(0) in
     let final : Instr.value option array array =
       Array.make_matrix num_slots lanes None
@@ -328,7 +229,7 @@ let reorder_matrix_modes ?meter ?probe ?trace (config : Config.t)
             | None -> columns.(s).(lane - 1)
           in
           let best, mode' =
-            get_best ?meter ?cache ?probe ?trace config mode.(s) last !pool
+            get_best ?meter ?probe ?trace config mode.(s) last !pool
           in
           mode.(s) <- mode';
           (match best with

@@ -22,27 +22,23 @@ val pair_score : Instr.value -> Instr.value -> int
 
 val lookahead_score :
   ?meter:Lslp_robust.Budget.meter ->
-  ?cache:Lslp_telemetry.Score_cache.t ->
   ?probe:Lslp_telemetry.Probe.t ->
   combine:Config.score_combine ->
   Instr.value ->
   Instr.value ->
   level:int ->
   int
-(** Listing 7: recursive match count between two sub-DAGs down to [level].
-    With [?meter], every computed comparison spends one unit of look-ahead
-    fuel and the whole reorder bails with [Budget.Exhausted] when the cap is
-    hit — the defense against exponentially-shared DAGs.
-    With [?cache], instruction/instruction comparisons memoize on
-    (id, id, level, combine); hits skip the recursion and burn no fuel.
-    The cache is only sound while the operand DAG is frozen — scope it to
-    one reorder invocation.  [?probe] counts evaluations and hits/misses. *)
+(** Listing 7 as written: recursive match count between two sub-DAGs down
+    to [level], with no memo table.  With [?meter], every comparison spends
+    one unit of look-ahead fuel and the whole reorder bails with
+    [Budget.Exhausted] when the cap is hit — the defense against
+    exponentially-shared DAGs.  [?probe] counts the comparisons in
+    [score_evals]. *)
 
 val init_mode : Instr.value -> mode
 
 val get_best :
   ?meter:Lslp_robust.Budget.meter ->
-  ?cache:Lslp_telemetry.Score_cache.t ->
   ?probe:Lslp_telemetry.Probe.t ->
   ?trace:Lslp_trace.Trace.t ->
   Config.t ->
@@ -52,14 +48,10 @@ val get_best :
   Instr.value option * mode
 (** Listing 6: choose among candidates given the slot's mode and the
     previous lane's pick; [None] means the slot defers (already FAILED).
-    When [Config.score_cache] is on and no [?cache] is supplied, the
-    look-ahead tie-break memoizes within itself per candidate, so
-    deepening from level k to k+1 extends the level-k results instead of
-    recomputing them.  With [Config.score_cache] off there is no
-    memoization anywhere — the paper's Listing 7 exactly as written.
+    The look-ahead tie-break scores every candidate at level 1, 2, ...
+    until the scores separate or [lookahead_depth] is reached.
     [?trace] records one [Get_best] event per call: the candidate set,
-    the per-level look-ahead scores of the tie-break, the winner, and the
-    Score_cache hit/miss delta (derived from [?probe], 0/0 without one). *)
+    the per-level look-ahead scores of the tie-break and the winner. *)
 
 val reorder_matrix :
   ?meter:Lslp_robust.Budget.meter ->
@@ -69,8 +61,7 @@ val reorder_matrix :
   Instr.value array array ->
   Instr.value array array
 (** Listing 5 over [columns.(slot).(lane)].  Preserves each lane's multiset
-    of operands; lane 0 is kept as-is.  With [Config.score_cache] one score
-    cache is created for (and discarded with) the invocation. *)
+    of operands; lane 0 is kept as-is. *)
 
 val reorder_matrix_modes :
   ?meter:Lslp_robust.Budget.meter ->

@@ -187,75 +187,6 @@ let run_case_indexed ?config ?(cond = false) ?inject_spec ~seed ~case () :
       c_injected = injected <> None;
     }
 
-(* Differential check for the memoized look-ahead scorer: the same program
-   through the same configuration with the score cache on and off must
-   produce identical IR (modulo instruction-id renaming), identical
-   remarks and identical region counts.  Fault injection stays off — an
-   armed injector advances its own RNG per probe, so the two runs would
-   diverge for reasons unrelated to the cache. *)
-let run_cache_diff ?(cases = 200) ?(seed = 42) () : stats =
-  let st = Random.State.make [| seed |] in
-  let failures = ref [] in
-  let vectorized = ref 0 in
-  let degraded = ref 0 in
-  for case = 0 to cases - 1 do
-    let prog = Gen.generate st in
-    let desc = Gen.describe prog in
-    let base =
-      config_pool.(Random.State.int st (Array.length config_pool))
-    in
-    let config = Config.with_remarks true base in
-    let fail problem =
-      failures :=
-        { case; desc; config_name = base.Config.name; injected = None;
-          problem }
-        :: !failures
-    in
-    match Gen.build prog with
-    | exception e ->
-      fail (Fmt.str "generator crashed: %s" (Printexc.to_string e))
-    | reference -> (
-      let run_one cache =
-        let candidate = Func.clone reference in
-        ignore (Lslp_frontend.Unroll.run ~factor:unroll_factor candidate);
-        let report =
-          Pipeline.run ~config:(Config.with_score_cache cache config)
-            candidate
-        in
-        (report, Printer.canonical candidate)
-      in
-      match (run_one true, run_one false) with
-      | exception e ->
-        fail (Fmt.str "pipeline raised %s" (Printexc.to_string e))
-      | (cached, ir_cached), (uncached, ir_uncached) ->
-        let remarks r =
-          List.map
-            (Fmt.str "%a" Lslp_check.Remark.pp)
-            r.Pipeline.remarks
-        in
-        if ir_cached <> ir_uncached then
-          fail "cached and uncached runs produced different IR"
-        else if remarks cached <> remarks uncached then
-          fail "cached and uncached runs produced different remarks"
-        else if
-          cached.Pipeline.vectorized_regions
-          <> uncached.Pipeline.vectorized_regions
-          || cached.Pipeline.degraded_regions
-             <> uncached.Pipeline.degraded_regions
-        then fail "cached and uncached runs transformed different regions"
-        else begin
-          vectorized := !vectorized + cached.Pipeline.vectorized_regions;
-          degraded := !degraded + cached.Pipeline.degraded_regions
-        end)
-  done;
-  {
-    cases;
-    failures = List.rev !failures;
-    vectorized = !vectorized;
-    degraded = !degraded;
-    injected_runs = 0;
-  }
-
 let pp_failure ppf (f : failure) =
   Fmt.pf ppf "case %d: %s@,  program: %s%a" f.case f.problem f.desc
     (fun ppf -> function

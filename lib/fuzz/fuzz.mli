@@ -66,14 +66,6 @@ val run_case_indexed :
     between [run] and a sweep of [run_case_indexed]; each is internally
     deterministic. *)
 
-val run_cache_diff : ?cases:int -> ?seed:int -> unit -> stats
-(** Differential check of the memoized look-ahead scorer
-    ([lslpc fuzz --config cache-diff]): each generated program runs through
-    the same drawn configuration with {!Lslp_core.Config.with_score_cache}
-    on and off; any difference in the printed IR, the remarks or the
-    region counts is a failure.  Fault injection stays off — its RNG would
-    make the two runs diverge for unrelated reasons. *)
-
 val ok : stats -> bool
 
 val pp_summary : stats Fmt.t

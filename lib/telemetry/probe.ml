@@ -14,8 +14,10 @@ type counters = {
   mutable seeds_collected : int;   (* seed bundles found by Seeds.collect *)
   mutable seeds_tried : int;       (* seed bundles the driver attempted *)
   mutable score_evals : int;       (* look-ahead score computations *)
-  mutable score_hits : int;        (* comparisons served from the cache *)
-  mutable score_misses : int;      (* cacheable comparisons computed *)
+  (* Always 0: look-ahead scoring has no memo table.  Kept only because
+     perfbench/bench.ml reads them; they go with its score_hit_ratio. *)
+  mutable score_hits : int;
+  mutable score_misses : int;
   mutable graph_nodes : int;       (* fresh SLP-graph nodes built *)
   mutable instrs_emitted : int;    (* instructions codegen materialized *)
   mutable regions_vectorized : int;
@@ -66,8 +68,6 @@ let counter_fields =
     ("seeds", fun c -> c.seeds_collected);
     ("tried", fun c -> c.seeds_tried);
     ("evals", fun c -> c.score_evals);
-    ("hits", fun c -> c.score_hits);
-    ("misses", fun c -> c.score_misses);
     ("nodes", fun c -> c.graph_nodes);
     ("emitted", fun c -> c.instrs_emitted);
     ("vec", fun c -> c.regions_vectorized);

@@ -11,11 +11,14 @@ type counters = {
       (** seed bundles {!Lslp_core.Seeds.collect} found *)
   mutable seeds_tried : int;  (** seed bundles the driver attempted *)
   mutable score_evals : int;
-      (** look-ahead score computations actually performed (recursive
-          comparisons included; cache hits excluded) *)
-  mutable score_hits : int;   (** comparisons served from a score cache *)
+      (** look-ahead score comparisons (Listing 7), recursive ones
+          included *)
+  mutable score_hits : int;
   mutable score_misses : int;
-      (** cacheable comparisons that had to be computed *)
+      (** Always 0: look-ahead scoring has no memo table.  Kept, and left
+          out of {!counter_fields}, only because [perfbench/bench.ml]
+          reads them to derive [pipeline.score_hit_ratio]; they go when
+          that metric does. *)
   mutable graph_nodes : int;  (** fresh SLP-graph nodes built *)
   mutable instrs_emitted : int;
       (** instructions code generation materialized (vector ops, gathers,

@@ -38,8 +38,6 @@ type payload =
       candidates : string list;
       levels : (int * int list) list;
       chosen : string option;
-      cache_hits : int;
-      cache_misses : int;
     }
   | Cost_computed of {
       seed : string;
@@ -146,8 +144,7 @@ let pp_payload ppf = function
     Fmt.pf ppf "g%d dep #%d ~> #%d" gid src dst
   | Slot_modes { modes } ->
     Fmt.pf ppf "slot modes: %a" Fmt.(list ~sep:comma string) modes
-  | Get_best { mode; last; candidates; levels; chosen; cache_hits;
-               cache_misses } ->
+  | Get_best { mode; last; candidates; levels; chosen } ->
     Fmt.pf ppf "get_best mode=%s last=%s {%a} -> %s" mode last
       Fmt.(list ~sep:comma string)
       candidates
@@ -155,9 +152,7 @@ let pp_payload ppf = function
     List.iter
       (fun (level, scores) ->
         Fmt.pf ppf " L%d:%a" level Fmt.(list ~sep:(any "/") int) scores)
-      levels;
-    if cache_hits > 0 || cache_misses > 0 then
-      Fmt.pf ppf " (cache %dh/%dm)" cache_hits cache_misses
+      levels
   | Cost_computed { seed; nodes; total; threshold; accepted } ->
     Fmt.pf ppf "cost %s: %+d vs threshold %d over %d node(s) -> %s" seed
       total threshold nodes
@@ -249,8 +244,7 @@ let payload_args = function
     [ ("gid", Json.Int gid); ("src", Json.Int src); ("dst", Json.Int dst) ]
   | Slot_modes { modes } ->
     [ ("modes", Json.Arr (List.map (fun m -> Json.Str m) modes)) ]
-  | Get_best { mode; last; candidates; levels; chosen; cache_hits;
-               cache_misses } ->
+  | Get_best { mode; last; candidates; levels; chosen } ->
     [
       ("mode", Json.Str mode);
       ("last", Json.Str last);
@@ -258,8 +252,6 @@ let payload_args = function
       ("levels", json_of_levels levels);
       ( "chosen",
         match chosen with Some c -> Json.Str c | None -> Json.Null );
-      ("cache_hits", Json.Int cache_hits);
-      ("cache_misses", Json.Int cache_misses);
     ]
   | Cost_computed { seed; nodes; total; threshold; accepted } ->
     [

@@ -55,9 +55,6 @@ type payload =
           (** look-ahead deepening: (level, getLAScore per {e tied}
               candidate) — empty when no tie-break was needed *)
       chosen : string option;
-      cache_hits : int;
-      cache_misses : int;
-          (** [Score_cache] traffic during this call (0/0 off-cache) *)
     }
   | Cost_computed of {
       seed : string;
