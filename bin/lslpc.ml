@@ -7,9 +7,9 @@
               reporting cycles, speedup and an equivalence check
      analyze  explain the vectorizer's decisions: one remark per region
               considered, plus the output of the legality validator
-              (--dot prints the SLP graphs as Graphviz instead)
      trace    record the decision trace and export it as Chrome trace-event
-              JSON (Perfetto), Graphviz DOT or a decision log
+              JSON (Perfetto), Graphviz DOT or a decision log; the only
+              trace exporter
      stats    run the whole kernel catalog and tabulate the telemetry
               counters (score evaluations, graph nodes, regions, ...)
      kernels  list the built-in kernel catalog
@@ -33,7 +33,7 @@
      lslpc analyze --kernel 464.motivation-multi --config lslp --stats
      lslpc compile --kernel 453.boy-surface --inject codegen:1.0:7
      lslpc trace examples/kernels/loop_saxpy.k --trace-format chrome
-     lslpc analyze --kernel 464.motivation-multi --dot | dot -Tsvg
+     lslpc trace --kernel motivation-multi --trace-format dot | dot -Tsvg
      lslpc stats --config lslp
      lslpc fuzz --cases 200 --config cond
 *)
@@ -159,21 +159,6 @@ let trace_format_arg =
        & opt (enum [ ("chrome", Chrome); ("dot", Dot); ("log", Log) ]) Chrome
        & info [ "trace-format" ] ~docv:"FORMAT" ~doc)
 
-let trace_out_arg =
-  let doc =
-    "Record the decision trace (seeds, graph shape, get_best calls, cost \
-     verdicts, rollbacks) and write it to $(docv) ($(b,-) for stdout)."
-  in
-  Arg.(value & opt (some string) None
-       & info [ "trace-out" ] ~docv:"FILE" ~doc)
-
-let render_trace ~format ~func_name events =
-  match format with
-  | Chrome ->
-    Lslp_trace.Trace.chrome_string ~meta:[ ("function", func_name) ] events
-  | Dot -> Lslp_trace.Trace.to_dot events
-  | Log -> Lslp_trace.Trace.to_log events
-
 let write_out path contents =
   match path with
   | "-" ->
@@ -183,21 +168,6 @@ let write_out path contents =
     let oc = open_out_bin path in
     output_string oc contents;
     close_out oc
-
-(* [--trace-out] is the opt-in: without it [Config.trace] stays off and the
-   pipeline allocates no sink. *)
-let apply_trace trace_out config =
-  if trace_out <> None then Lslp_core.Config.with_trace true config
-  else config
-
-let emit_trace ~trace_out ~format ~func_name
-    (report : Lslp_core.Pipeline.report) =
-  Option.iter
-    (fun path ->
-      write_out path
-        (render_trace ~format ~func_name
-           report.Lslp_core.Pipeline.trace_events))
-    trace_out
 
 (* Region formation happens here, in the driver, exactly once: Lower and
    Catalog.compile stay pure so nothing double-unrolls. *)
@@ -268,7 +238,7 @@ let print_diagnostics diags =
 
 let compile_cmd =
   let run file kernel config unroll inject dump_ir dump_graph quiet
-      verify_output stats stats_json trace_out trace_format verbose =
+      verify_output stats stats_json verbose =
     handle_errors @@ fun () ->
     setup_logs verbose;
     let config =
@@ -276,7 +246,6 @@ let compile_cmd =
       else config
     in
     let config = apply_inject inject config in
-    let config = apply_trace trace_out config in
     let f = load_kernel ~unroll file kernel in
     if dump_ir then
       Fmt.pr "=== scalar IR ===@.%a@.@." Lslp_ir.Printer.pp_func f;
@@ -297,8 +266,6 @@ let compile_cmd =
     let report, g = Lslp_core.Pipeline.run_cloned ~config f in
     if not quiet then Fmt.pr "%a@.@." Lslp_core.Pipeline.pp_report report;
     print_stats ~stats ~stats_json report;
-    emit_trace ~trace_out ~format:trace_format
-      ~func_name:f.Lslp_ir.Func.fname report;
     if dump_ir then
       Fmt.pr "=== %s IR ===@.%a@." config.name Lslp_ir.Printer.pp_func g;
     if verify_output
@@ -324,14 +291,13 @@ let compile_cmd =
     (Cmd.info "compile" ~doc:"Vectorize a kernel and report what happened")
     Term.(const run $ file_arg $ kernel_arg $ config_arg $ unroll_arg
           $ inject_arg $ dump_ir $ dump_graph $ quiet $ verify_output_arg
-          $ stats_arg $ stats_json_arg $ trace_out_arg $ trace_format_arg
-          $ verbose_arg)
+          $ stats_arg $ stats_json_arg $ verbose_arg)
 
 (* ---- run --------------------------------------------------------- *)
 
 let run_cmd =
   let run file kernel config unroll inject seed verify_output stats
-      stats_json trace_out trace_format verbose =
+      stats_json verbose =
     handle_errors @@ fun () ->
     setup_logs verbose;
     let config =
@@ -339,7 +305,6 @@ let run_cmd =
       else config
     in
     let config = apply_inject inject config in
-    let config = apply_trace trace_out config in
     (* the reference is the kernel as written (loops intact), so the oracle
        checks region formation and vectorization together *)
     let reference = load_kernel ~unroll:0 file kernel in
@@ -350,8 +315,6 @@ let run_cmd =
     in
     Fmt.pr "%a@.@." Lslp_core.Pipeline.pp_report report;
     print_stats ~stats ~stats_json report;
-    emit_trace ~trace_out ~format:trace_format
-      ~func_name:f.Lslp_ir.Func.fname report;
     if verify_output
        && print_diagnostics report.Lslp_core.Pipeline.diagnostics
     then exit 1;
@@ -376,39 +339,27 @@ let run_cmd =
        ~doc:"Vectorize a kernel, simulate scalar vs vector, compare")
     Term.(const run $ file_arg $ kernel_arg $ config_arg $ unroll_arg
           $ inject_arg $ seed $ verify_output_arg $ stats_arg
-          $ stats_json_arg $ trace_out_arg $ trace_format_arg $ verbose_arg)
+          $ stats_json_arg $ verbose_arg)
 
 (* ---- analyze ------------------------------------------------------ *)
 
 let analyze_cmd =
-  let run file kernel config unroll inject json dot stats stats_json
-      trace_out trace_format verbose =
+  let run file kernel config unroll inject json stats stats_json verbose =
     handle_errors @@ fun () ->
     setup_logs verbose;
     let config =
       Lslp_core.Config.(config |> with_remarks true |> with_validate true)
     in
     let config = apply_inject inject config in
-    let config =
-      if dot then Lslp_core.Config.with_trace true config
-      else apply_trace trace_out config
-    in
     let f = load_kernel ~unroll file kernel in
     let report, _g = Lslp_core.Pipeline.run_cloned ~config f in
     let remarks = report.Lslp_core.Pipeline.remarks in
     let diags = report.Lslp_core.Pipeline.diagnostics in
-    if dot then
-      (* alias for `lslpc trace --trace-format dot`: just the graphs, so the
-         output pipes straight into dot(1) *)
-      print_string
-        (Lslp_trace.Trace.to_dot report.Lslp_core.Pipeline.trace_events)
-    else if json then begin
+    if json then begin
       Fmt.pr "%s@."
         (Lslp_check.Remark.report_to_json ~config_name:config.name
            ~func_name:f.Lslp_ir.Func.fname ~diagnostics:diags remarks);
       print_stats ~stats ~stats_json report;
-      emit_trace ~trace_out ~format:trace_format
-        ~func_name:f.Lslp_ir.Func.fname report;
       if Lslp_check.Diagnostic.errors diags <> [] then exit 1
     end
     else begin
@@ -416,8 +367,6 @@ let analyze_cmd =
         f.Lslp_ir.Func.fname (List.length remarks);
       List.iter (fun r -> Fmt.pr "%a@." Lslp_check.Remark.pp r) remarks;
       print_stats ~stats ~stats_json report;
-      emit_trace ~trace_out ~format:trace_format
-        ~func_name:f.Lslp_ir.Func.fname report;
       if print_diagnostics diags then exit 1
     end
   in
@@ -425,21 +374,13 @@ let analyze_cmd =
     Arg.(value & flag
          & info [ "json" ] ~doc:"Emit the report as a JSON document.")
   in
-  let dot =
-    Arg.(value & flag
-         & info [ "dot" ]
-             ~doc:"Print the SLP graphs as Graphviz DOT on stdout (alias \
-                   for the trace subcommand with --trace-format dot); \
-                   replaces the normal report.")
-  in
   Cmd.v
     (Cmd.info "analyze"
        ~doc:
          "Explain the vectorizer's decisions: one remark per region \
           considered, with the legality validator's verdict")
     Term.(const run $ file_arg $ kernel_arg $ config_arg $ unroll_arg
-          $ inject_arg $ json $ dot $ stats_arg $ stats_json_arg
-          $ trace_out_arg $ trace_format_arg $ verbose_arg)
+          $ inject_arg $ json $ stats_arg $ stats_json_arg $ verbose_arg)
 
 (* ---- trace -------------------------------------------------------- *)
 
@@ -779,7 +720,7 @@ let print_pool_stats s =
 let batch_cmd =
   let run config unroll jobs queue_cap deadline_steps retries backoff cache
       repeat injects expect stats_flag stats_json metrics_out metrics_format
-      flight_out trace_out trace_format verbose =
+      flight_out verbose =
     handle_errors @@ fun () ->
     setup_logs verbose;
     let inject_for = inject_for_of injects in
@@ -787,8 +728,7 @@ let batch_cmd =
       pool_config_of ~jobs ~queue_cap ~retries ~backoff ~deadline_steps
     in
     let svc =
-      Lslp_service.Service.create ~cache ~trace:(trace_out <> None)
-        ~inject_for ~pool config
+      Lslp_service.Service.create ~cache ~inject_for ~pool config
     in
     let kernels = Lslp_kernels.Catalog.all in
     let job_array =
@@ -848,17 +788,6 @@ let batch_cmd =
         write_out path
           (Lslp_obs.Flight.to_jsonl (Lslp_service.Service.flight svc)))
       flight_out;
-    Option.iter
-      (fun path ->
-        let events = Lslp_service.Service.trace_events svc in
-        write_out path
-          (match trace_format with
-           | Chrome ->
-             Lslp_trace.Trace.chrome_string ~meta:[ ("service", "batch") ]
-               events
-           | Dot -> Lslp_trace.Trace.to_dot events
-           | Log -> Lslp_trace.Trace.to_log events))
-      trace_out;
     match expect with
     | None -> if !failed > 0 && injects = [] then exit 1
     | Some want ->
@@ -943,8 +872,7 @@ let batch_cmd =
     Term.(const run $ config_arg $ unroll_arg $ jobs $ queue_cap
           $ deadline_steps $ retries $ backoff $ cache $ repeat
           $ service_inject_args $ expect $ stats_arg $ stats_json_arg
-          $ metrics_out $ metrics_format_arg $ flight_out
-          $ trace_out_arg $ trace_format_arg $ verbose_arg)
+          $ metrics_out $ metrics_format_arg $ flight_out $ verbose_arg)
 
 (* ---- domains ------------------------------------------------------ *)
 

@@ -2,7 +2,7 @@
 
     The service records every pool and cache transition — enqueued,
     dispatched, retried, shed, timed out, crashed, failed, completed,
-    cache-hit/verified/evicted/miss/insert — with the pool's virtual
+    cache-hit/poison/verified/evicted/miss/insert — with the pool's virtual
     tick, the attempt index and the attempt's injector seed, so a dumped
     recording is enough to replay a fault schedule exactly.
 

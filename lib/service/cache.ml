@@ -28,7 +28,6 @@ module Inject = Lslp_robust.Inject
 module Stats = Lslp_telemetry.Pool_stats
 module Registry = Lslp_obs.Registry
 module Flight = Lslp_obs.Flight
-module Trace = Lslp_trace.Trace
 
 type cached = {
   ir : string;
@@ -51,16 +50,14 @@ type t = {
   by_key : (string, entry) Hashtbl.t;  (* canonical digest -> entry *)
   by_source : (string, string) Hashtbl.t;  (* front digest -> canonical *)
   metrics : Stats.metrics option;
-  trace : Trace.t option;
 }
 
-let create ?metrics ?trace () =
+let create ?metrics () =
   {
     m = Mutex.create ();
     by_key = Hashtbl.create 64;
     by_source = Hashtbl.create 64;
     metrics;
-    trace;
   }
 
 let canonical_key ~input_norm ~fingerprint =
@@ -84,11 +81,6 @@ let bump t f = match t.metrics with Some m -> f m | None -> ()
 let flight t ~job ~detail kind =
   bump t (fun m -> Flight.record m.Stats.flight ~tick:(-1) ~job ~detail kind)
 
-let trace_ev t what job detail =
-  match t.trace with
-  | Some tr -> Trace.record tr (Trace.Pool_event { what; job; detail })
-  | None -> ()
-
 (* lock held.  Corrupt the stored function the way the pipeline's
    [Corrupt] point does — a damage the structural verifier always
    catches — so the poisoned entry must fail verification, not crash. *)
@@ -103,14 +95,13 @@ let verify_hit t ~label ~key entry ~poison =
   bump t (fun m -> Registry.incr m.Stats.c_hits);
   flight t ~job:label ~detail:key "cache-hit";
   if poison then begin
-    trace_ev t "cache-poison" label key;
+    flight t ~job:label ~detail:key "cache-poison";
     poison_entry entry
   end;
   let diags = Legality.validate entry.snap entry.func in
   if Diagnostic.errors diags = [] then begin
     bump t (fun m -> Registry.incr m.Stats.c_verified);
     flight t ~job:label ~detail:key "cache-verified";
-    trace_ev t "cache-verify" label key;
     Some entry.payload
   end
   else begin
@@ -121,9 +112,6 @@ let verify_hit t ~label ~key entry ~poison =
       ~detail:
         (Fmt.str "%s: %s" key (Diagnostic.summary (Diagnostic.errors diags)))
       "cache-evicted";
-    trace_ev t "cache-evict" label
-      (Fmt.str "%s: %s" key
-         (Diagnostic.summary (Diagnostic.errors diags)));
     None
   end
 
@@ -165,7 +153,6 @@ let find_by_ir t ~label ~source_key ~input_norm ~fingerprint ~poison =
     | None ->
       bump t (fun m -> Registry.incr m.Stats.c_misses);
       flight t ~job:label ~detail:key "cache-miss";
-      trace_ev t "cache-miss" label key;
       None
   in
   Mutex.unlock t.m;
@@ -184,8 +171,7 @@ let insert t ~label ~source_key ~input_norm ~fingerprint ~snap ~func payload =
     Hashtbl.replace t.by_key key entry;
     Hashtbl.replace t.by_source source_key key;
     bump t (fun m -> Registry.incr m.Stats.c_inserts);
-    flight t ~job:label ~detail:key "cache-insert";
-    trace_ev t "cache-insert" label key
+    flight t ~job:label ~detail:key "cache-insert"
   end
   else if not (Hashtbl.mem t.by_source source_key) then begin
     Hashtbl.replace t.by_source source_key key;

@@ -30,15 +30,11 @@ type cached = {
 
 type t
 
-val create :
-  ?metrics:Lslp_telemetry.Pool_stats.metrics ->
-  ?trace:Lslp_trace.Trace.t ->
-  unit ->
-  t
-(** Registry counters ([lslp_cache_*_total]), flight-recorder events
-    (cache-hit/verified/evicted/miss/insert, recorded with tick [-1] —
-    the cache does not see the pool's virtual clock) and [Pool_event]
-    trace records are emitted under the cache lock. *)
+val create : ?metrics:Lslp_telemetry.Pool_stats.metrics -> unit -> t
+(** Registry counters ([lslp_cache_*_total]) and flight-recorder events
+    (cache-hit/poison/verified/evicted/miss/insert, recorded with tick
+    [-1] — the cache does not see the pool's virtual clock) are emitted
+    under the cache lock. *)
 
 val source_key : source:string -> unroll:int -> fingerprint:string -> string
 (** The front key for a job, computable without parsing. *)

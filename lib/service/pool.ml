@@ -22,7 +22,6 @@
 
 module Budget = Lslp_robust.Budget
 module Inject = Lslp_robust.Inject
-module Trace = Lslp_trace.Trace
 module Stats = Lslp_telemetry.Pool_stats
 module Registry = Lslp_obs.Registry
 module Flight = Lslp_obs.Flight
@@ -83,7 +82,7 @@ let admission_sheds config ~job =
       (Inject.reseed spec ~seed:(attempt_seed config ~job ~attempt:(-1)))
       Inject.Queue_full
 
-let run (type a) ?metrics ?trace config
+let run (type a) ?metrics config
     (jobs :
       (string
       * (inject:Inject.t option -> deadline:Budget.deadline option -> a))
@@ -112,11 +111,6 @@ let run (type a) ?metrics ?trace config
   let first_dispatch = Array.make n (-1) in
   let flight m ~job ?attempt ?seed ?detail kind =
     Flight.record m.Stats.flight ~tick:!vtick ~job ?attempt ?seed ?detail kind
-  in
-  let trace_ev what job detail =
-    match trace with
-    | Some t -> Trace.record t (Trace.Pool_event { what; job; detail })
-    | None -> ()
   in
   (* all helpers below assume the lock is held *)
   let promote () =
@@ -172,7 +166,6 @@ let run (type a) ?metrics ?trace config
             Registry.set m.Stats.queue_depth depth;
             flight m ~job:label ~attempt
               ~seed:(attempt_seed config ~job ~attempt) "dispatched");
-        trace_ev "dispatch" label (Fmt.str "attempt %d" attempt);
         (* queue space freed: the orchestrator may admit the next job *)
         Condition.signal cond_change;
         Mutex.unlock m;
@@ -199,7 +192,6 @@ let run (type a) ?metrics ?trace config
         (match result with
          | Ok v ->
            record job (Done v);
-           trace_ev "complete" label "";
            tick ();
            obs (fun m ->
                Registry.incr m.Stats.completed;
@@ -223,12 +215,10 @@ let run (type a) ?metrics ?trace config
               obs (fun m ->
                   Registry.incr m.Stats.timed_out;
                   flight m ~job:label ~attempt ~seed
-                    ~detail:(Fmt.str "%d step(s)" steps) "timeout");
-              trace_ev "timeout" label (Fmt.str "%d step(s)" steps)
+                    ~detail:(Fmt.str "%d step(s)" steps) "timeout")
             | Crashed msg ->
               obs (fun m ->
-                  flight m ~job:label ~attempt ~seed ~detail:msg "crashed");
-              trace_ev "crash" label msg
+                  flight m ~job:label ~attempt ~seed ~detail:msg "crashed")
             | Shed -> assert false (* shedding happens at admission *));
            if attempt < retries then begin
              let delay = backoff * (1 lsl attempt) in
@@ -237,9 +227,7 @@ let run (type a) ?metrics ?trace config
                  Registry.incr m.Stats.retried;
                  flight m ~job:label ~attempt:(attempt + 1)
                    ~seed:(attempt_seed config ~job ~attempt:(attempt + 1))
-                   ~detail:(Fmt.str "in %d tick(s)" delay) "retried");
-             trace_ev "retry" label
-               (Fmt.str "attempt %d in %d tick(s)" (attempt + 1) delay)
+                   ~detail:(Fmt.str "in %d tick(s)" delay) "retried")
            end
            else begin
              record job
@@ -248,8 +236,7 @@ let run (type a) ?metrics ?trace config
                  Registry.incr m.Stats.failed;
                  Registry.observe m.Stats.job_attempts (attempt + 1);
                  flight m ~job:label ~attempt ~seed
-                   ~detail:"retries exhausted" "failed");
-             trace_ev "fail" label "retries exhausted"
+                   ~detail:"retries exhausted" "failed")
            end;
            dead := slot :: !dead;
            Condition.signal cond_change;
@@ -286,8 +273,7 @@ let run (type a) ?metrics ?trace config
            spawn slot;
            obs (fun m ->
                Registry.incr m.Stats.respawned;
-               flight m ~job:"" ~detail:(Fmt.str "worker %d" slot) "respawn");
-           trace_ev "respawn" "" (Fmt.str "worker %d" slot))
+               flight m ~job:"" ~detail:(Fmt.str "worker %d" slot) "respawn"))
          slots);
     (* admit while the bounded queue has space — blocking here when it
        does not is the backpressure *)
@@ -302,13 +288,11 @@ let run (type a) ?metrics ?trace config
         record job (Degraded_to_failure { attempts = 0; failure = Shed });
         obs (fun m ->
             Registry.incr m.Stats.shed;
-            flight m ~job:label ~detail:"queue full" "shed");
-        trace_ev "shed" label "queue full"
+            flight m ~job:label ~detail:"queue full" "shed")
       end
       else begin
         Queue.add (job, 0) ready;
         obs (fun m -> flight m ~job:label "enqueued");
-        trace_ev "enqueue" label "";
         Condition.signal cond_work
       end
     done;

@@ -23,9 +23,10 @@
       {!Degraded_to_failure}.
     - {b Backpressure.}  The ready queue is bounded at [queue_cap]; the
       submitting orchestrator blocks while it is full.  The explicit shed
-      path ({!Shed}, counted and traced) fires when the queue-full fault
-      is armed: admission pretends saturation and degrades the job
-      without running it — the pool itself never drops a job silently.
+      path ({!Shed}, counted and flight-recorded) fires when the
+      queue-full fault is armed: admission pretends saturation and
+      degrades the job without running it — the pool itself never drops
+      a job silently.
 
     Determinism: per-attempt injectors are derived from
     [(job_seed, job index, attempt)] alone, so a fault schedule does not
@@ -66,7 +67,6 @@ val default_config : config
 
 val run :
   ?metrics:Lslp_telemetry.Pool_stats.metrics ->
-  ?trace:Lslp_trace.Trace.t ->
   config ->
   (string
   * (inject:Lslp_robust.Inject.t option ->
@@ -83,6 +83,6 @@ val run :
     latency/attempt/queue-depth histograms (all in virtual ticks and
     slots — nothing reads the clock) and records every lifecycle
     transition in the flight recorder, with per-attempt injector seeds;
-    all under the pool lock.  [trace] pool events likewise. *)
+    all under the pool lock. *)
 
 val pp_failure : failure Fmt.t

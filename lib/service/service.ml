@@ -20,7 +20,6 @@ module Inject = Lslp_robust.Inject
 module Legality = Lslp_check.Legality
 module Diagnostic = Lslp_check.Diagnostic
 module Stats = Lslp_telemetry.Pool_stats
-module Trace = Lslp_trace.Trace
 
 type job = { label : string; source : string; unroll : int }
 
@@ -42,10 +41,9 @@ type t = {
   inject_for : int -> Inject.t option;
   metrics : Stats.metrics;
   pass_metrics : Lslp_telemetry.Pass_metrics.t;
-  trace : Trace.t option;
 }
 
-let create ?(cache = true) ?(trace = false) ?flight_cap
+let create ?(cache = true) ?flight_cap
     ?(inject_for = fun _ -> None) ~pool compile =
   (* one registry per service: pool + cache counters and histograms, the
      pipeline counters and step histograms, all exported together *)
@@ -53,16 +51,14 @@ let create ?(cache = true) ?(trace = false) ?flight_cap
   let pass_metrics =
     Lslp_telemetry.Pass_metrics.create ~root:"batch" metrics.Stats.registry
   in
-  let trace = if trace then Some (Trace.create ()) else None in
   {
     compile;
     fingerprint = Config.fingerprint compile;
     pool;
-    cache = (if cache then Some (Cache.create ~metrics ?trace ()) else None);
+    cache = (if cache then Some (Cache.create ~metrics ()) else None);
     inject_for;
     metrics;
     pass_metrics;
-    trace;
   }
 
 let stats t = Stats.view t.metrics
@@ -70,7 +66,6 @@ let metrics t = t.metrics
 let registry t = t.metrics.Stats.registry
 let flight t = t.metrics.Stats.flight
 let pass_metrics t = t.pass_metrics
-let trace_events t = match t.trace with Some tr -> Trace.events tr | None -> []
 let cache_entries t = match t.cache with Some c -> Cache.length c | None -> 0
 
 let counters_of_report (report : Pipeline.report) =
@@ -192,7 +187,7 @@ let batch ?(index_base = 0) t jobs =
           fun ~inject ~deadline -> compile_job t job ~inject ~deadline ))
       jobs
   in
-  Pool.run ~metrics:t.metrics ?trace:t.trace pool_cfg pjobs
+  Pool.run ~metrics:t.metrics pool_cfg pjobs
 
 (* Degradations in the smoke-gate sense: jobs that ended in a typed
    failure plus cache entries evicted by failed verification — every

@@ -36,14 +36,13 @@ type t
 
 val create :
   ?cache:bool ->
-  ?trace:bool ->
   ?flight_cap:int ->
   ?inject_for:(int -> Lslp_robust.Inject.t option) ->
   pool:Pool.config ->
   Lslp_core.Config.t ->
   t
-(** [cache] defaults to on, [trace] to off; [flight_cap] bounds the
-    flight recorder (default 4096 events).  [inject_for] maps a {e global}
+(** [cache] defaults to on; [flight_cap] bounds the flight recorder
+    (default 4096 events).  [inject_for] maps a {e global}
     job index (across batches, see [index_base]) to the fault spec armed
     for that job; it covers service points (worker-raise, worker-hang,
     cache-poison, queue-full) and pipeline points alike — the same
@@ -68,14 +67,12 @@ val registry : t -> Lslp_obs.Registry.t
     pipeline counters and step histograms — for the exporters. *)
 
 val flight : t -> Lslp_obs.Flight.t
-(** The bounded flight recorder (`--flight-out`). *)
+(** The bounded flight recorder (`--flight-out`): the service's only
+    lifecycle event log, pool and cache transitions alike. *)
 
 val pass_metrics : t -> Lslp_telemetry.Pass_metrics.t
 (** Pipeline-side metrics: fed by every non-cached compile; carries the
     folded stacks. *)
-
-val trace_events : t -> Lslp_trace.Trace.event list
-(** Pool/cache boundary events recorded so far ([] with [trace] off). *)
 
 val cache_entries : t -> int
 

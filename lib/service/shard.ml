@@ -9,14 +9,14 @@
 
 module Fuzz = Lslp_fuzz.Fuzz
 
-let run ?metrics ?trace ?config ?inject_spec ~pool ~cases ~seed () =
+let run ?metrics ?config ?inject_spec ~pool ~cases ~seed () =
   let jobs =
     Array.init cases (fun case ->
         ( Fmt.str "case-%d" case,
           fun ~inject:_ ~deadline:_ ->
             Fuzz.run_case_indexed ?config ?inject_spec ~seed ~case () ))
   in
-  Pool.run ?metrics ?trace pool jobs
+  Pool.run ?metrics pool jobs
 
 type mismatch = { case : int; sharded : string; sequential : string }
 

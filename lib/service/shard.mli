@@ -7,7 +7,6 @@
 
 val run :
   ?metrics:Lslp_telemetry.Pool_stats.metrics ->
-  ?trace:Lslp_trace.Trace.t ->
   ?config:Lslp_core.Config.t ->
   ?inject_spec:Lslp_robust.Inject.t ->
   pool:Pool.config ->

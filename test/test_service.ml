@@ -267,7 +267,21 @@ let cache_poison_evicts () =
      Alcotest.fail "a poisoned cache must recompile, not fail");
   (* the poisoned-and-evicted entry stayed out: the targeted job's
      injector was armed, so nothing was re-inserted for it *)
-  Helpers.check_int "entry count" (njobs - 1) (Service.cache_entries svc)
+  Helpers.check_int "entry count" (njobs - 1) (Service.cache_entries svc);
+  (* the flight recorder alone tells the whole story of the hit *)
+  let label = some_jobs.(3).Service.label in
+  let kinds =
+    List.filter_map
+      (fun (e : Flight.event) ->
+        match e.Flight.kind with
+        | ("cache-hit" | "cache-poison" | "cache-evicted") as k
+          when e.Flight.job = label ->
+          Some k
+        | _ -> None)
+      (Flight.events (Service.flight svc))
+  in
+  Helpers.check_string "hit, poison, evict in order"
+    "cache-hit cache-poison cache-evicted" (String.concat " " kinds)
 
 let cache_off () =
   let svc = Service.create ~cache:false ~pool:(quiet_pool 1) config in
