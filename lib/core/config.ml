@@ -88,6 +88,12 @@ let with_budget budget t = { t with budget }
 let with_inject inject t = { t with inject = Some inject }
 let with_deadline deadline t = { t with deadline = Some deadline }
 
+(* One pass boundary: the deadline ticks before the injector rolls, so an
+   expired job is cancelled before any fault could fire at this point. *)
+let boundary t point =
+  Lslp_robust.Budget.deadline_tick t.deadline;
+  Lslp_robust.Inject.maybe_fail t.inject point
+
 let effective_max_lanes t elt =
   let native = Lslp_costmodel.Model.max_lanes t.model elt in
   match t.max_lanes with Some cap -> min cap native | None -> native

@@ -84,6 +84,11 @@ val with_deadline : Lslp_robust.Budget.deadline -> t -> t
     through {!Pipeline.run} (with all snapshots restored) — the job is
     cancelled, not degraded.  Default off ([None]). *)
 
+val boundary : t -> Lslp_robust.Inject.point -> unit
+(** One pass boundary: tick [deadline], then let [inject] fire at the
+    given point.  Every boundary the pipeline instruments calls this, so
+    the deadline and the injector always see the same eight sites. *)
+
 val effective_max_lanes : t -> Lslp_ir.Types.scalar -> int
 val multinode_limit : t -> int
 

@@ -114,9 +114,7 @@ and build_bundle_fresh ctx (b : Bundle.t) : Graph.node =
       register (build_multinode ctx insts op)
     | Instr.Binop (op, _, _) when Opcode.is_commutative op ->
       let node = register (Graph.add_node ctx.graph (Graph.Group insts)) in
-      Lslp_robust.Budget.deadline_tick ctx.config.Config.deadline;
-      Lslp_robust.Inject.maybe_fail ctx.config.Config.inject
-        Lslp_robust.Inject.Reorder;
+      Config.boundary ctx.config Lslp_robust.Inject.Reorder;
       let left, right =
         match ctx.config.Config.strategy with
         | Config.Vanilla -> Reorder.vanilla_pair insts
@@ -237,9 +235,7 @@ and build_multinode ctx (root_insts : Instr.t array) (op : Opcode.binop) =
   let reordered =
     match ctx.config.Config.strategy with
     | Config.Lookahead ->
-      Lslp_robust.Budget.deadline_tick ctx.config.Config.deadline;
-      Lslp_robust.Inject.maybe_fail ctx.config.Config.inject
-        Lslp_robust.Inject.Reorder;
+      Config.boundary ctx.config Lslp_robust.Inject.Reorder;
       let m, modes =
         Reorder.reorder_matrix_modes ?meter:ctx.meter ?probe:ctx.probe
           ?trace:ctx.trace ctx.config matrix

@@ -123,9 +123,6 @@ let degraded_desc (failure : Transact.failure) =
 let run_unprotected ?trace ~(config : Config.t) (f : Func.t) : report =
   let open Lslp_check in
   let inject = config.Config.inject in
-  (* the service's cooperative watchdog: one tick at every boundary the
-     injector instruments; None (the default) costs a single match *)
-  let deadline = config.Config.deadline in
   (* run-wide SLP-graph node-id source: nids stay unique across every graph
      of this run (the DOT exporter relies on it) and start from 1 on every
      run, so concurrent runs on other domains number independently *)
@@ -327,8 +324,7 @@ let run_unprotected ?trace ~(config : Config.t) (f : Func.t) : report =
                   m "%s: [%s] building graph for seed %s" config.Config.name
                     region_id (describe_seed seed));
               cur_pass := "graph-build";
-              Budget.deadline_tick deadline;
-              Inject.maybe_fail inject Inject.Graph_build;
+              Config.boundary config Inject.Graph_build;
               let notes = ref [] in
               let note =
                 if config.Config.remarks then
@@ -370,8 +366,7 @@ let run_unprotected ?trace ~(config : Config.t) (f : Func.t) : report =
               cur_pass := "codegen";
               let region =
                 if Cost.profitable config cost then begin
-                  Budget.deadline_tick deadline;
-                  Inject.maybe_fail inject Inject.Codegen;
+                  Config.boundary config Inject.Codegen;
                   match
                     traced_span ?trace probe "codegen" (fun () ->
                         Codegen.run ?record:record_opt ~probe ?trace ~deps
@@ -382,8 +377,7 @@ let run_unprotected ?trace ~(config : Config.t) (f : Func.t) : report =
                     if Inject.corrupts inject then
                       ignore (Inject.corrupt_block block);
                     cur_pass := "verify";
-                    Budget.deadline_tick deadline;
-                    Inject.maybe_fail inject Inject.Verify;
+                    Config.boundary config Inject.Verify;
                     verify_or_abort "verify";
                     (* only now is the region committed; a verify abort
                        above must not leave a phantom vectorized count *)
@@ -593,14 +587,12 @@ let run_unprotected ?trace ~(config : Config.t) (f : Func.t) : report =
     let cur_pass = ref "cse" in
     let result =
       Transact.protect ~snapshot ~pass:(fun () -> !cur_pass) (fun () ->
-          Budget.deadline_tick deadline;
-          Inject.maybe_fail inject Inject.Cse;
+          Config.boundary config Inject.Cse;
           let cse_removed =
             traced_span ?trace probe "cse" (fun () -> Cse.run_block block)
           in
           cur_pass := "dce";
-          Budget.deadline_tick deadline;
-          Inject.maybe_fail inject Inject.Dce;
+          Config.boundary config Inject.Dce;
           let dce_removed =
             traced_span ?trace probe "dce" (fun () -> Dce.run_block block)
           in

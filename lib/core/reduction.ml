@@ -233,9 +233,7 @@ let run ?(config = Config.lslp) ?meter ?probe ?trace ?ids ?record
             trace
         in
         if accepted then begin
-          Lslp_robust.Budget.deadline_tick config.Config.deadline;
-          Lslp_robust.Inject.maybe_fail config.Config.inject
-            Lslp_robust.Inject.Reduction;
+          Config.boundary config Lslp_robust.Inject.Reduction;
           match
             Codegen.run ~reduction:plan.reduction ?record ?probe ?trace
               ~deps plan.graph block
