@@ -247,7 +247,8 @@ let loops () =
           List.sort_uniq String.compare
             (List.filter_map
                (fun r ->
-                 if r.Pipeline.vectorized then Some r.Pipeline.region_id
+                 if r.Pipeline.outcome = Lslp_check.Remark.Vectorized then
+                   Some r.Pipeline.region_id
                  else None)
                report.Pipeline.regions)
         with

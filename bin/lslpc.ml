@@ -84,11 +84,6 @@ let inject_arg =
   Arg.(value & opt (some inject_conv) None
        & info [ "inject" ] ~docv:"SPEC" ~doc)
 
-let apply_inject inject config =
-  match inject with
-  | Some i -> Lslp_core.Config.with_inject i config
-  | None -> config
-
 let stats_arg =
   Arg.(value & flag
        & info [ "stats" ]
@@ -169,24 +164,6 @@ let write_out path contents =
     output_string oc contents;
     close_out oc
 
-(* Region formation happens here, in the driver, exactly once: Lower and
-   Catalog.compile stay pure so nothing double-unrolls. *)
-let load_kernel ?(unroll = 0) file kernel_key =
-  let f =
-    match (file, kernel_key) with
-    | Some path, None ->
-      let ic = open_in_bin path in
-      let n = in_channel_length ic in
-      let src = really_input_string ic n in
-      close_in ic;
-      Lslp_frontend.Lower.compile_string src
-    | None, Some key -> Lslp_kernels.Catalog.compile_key key
-    | Some _, Some _ -> failwith "give either a file or --kernel, not both"
-    | None, None -> failwith "give a kernel file or --kernel KEY"
-  in
-  ignore (Lslp_frontend.Unroll.run ~factor:unroll f);
-  f
-
 let unroll_arg =
   let doc =
     "Unroll factor for counted loops (region formation); 0 or 1 disables."
@@ -201,14 +178,47 @@ let kernel_arg =
   let doc = "Use a built-in catalog kernel (see the kernels subcommand)." in
   Arg.(value & opt (some string) None & info [ "k"; "kernel" ] ~docv:"KEY" ~doc)
 
-let setup_logs verbose =
-  Fmt_tty.setup_std_outputs ();
-  Logs.set_reporter (Logs_fmt.reporter ());
-  Logs.set_level (if verbose then Some Logs.Debug else Some Logs.Warning)
+(* What compile, run, analyze and trace read: one kernel (FILE or
+   --kernel), the configuration with any --inject armed, and the unroll
+   factor. *)
+type input = {
+  file : string option;
+  kernel : string option;
+  config : Lslp_core.Config.t;
+  unroll : int;
+}
 
-let verbose_arg =
-  Arg.(value & flag
-       & info [ "v"; "verbose" ] ~doc:"Log the pass's decisions as it runs.")
+let input_term =
+  let make file kernel config unroll inject =
+    let config =
+      match inject with
+      | Some i -> Lslp_core.Config.with_inject i config
+      | None -> config
+    in
+    { file; kernel; config; unroll }
+  in
+  Term.(const make $ file_arg $ kernel_arg $ config_arg $ unroll_arg
+        $ inject_arg)
+
+(* Region formation happens here, in the driver, exactly once: Lower and
+   Catalog.compile stay pure so nothing double-unrolls.  [unroll]
+   overrides the input's factor. *)
+let load ?unroll input =
+  let f =
+    match (input.file, input.kernel) with
+    | Some path, None ->
+      let ic = open_in_bin path in
+      let n = in_channel_length ic in
+      let src = really_input_string ic n in
+      close_in ic;
+      Lslp_frontend.Lower.compile_string src
+    | None, Some key -> Lslp_kernels.Catalog.compile_key key
+    | Some _, Some _ -> failwith "give either a file or --kernel, not both"
+    | None, None -> failwith "give a kernel file or --kernel KEY"
+  in
+  let factor = Option.value unroll ~default:input.unroll in
+  ignore (Lslp_frontend.Unroll.run ~factor f);
+  f
 
 let handle_errors f =
   try f () with
@@ -237,16 +247,12 @@ let print_diagnostics diags =
 (* ---- compile ---------------------------------------------------- *)
 
 let compile_cmd =
-  let run file kernel config unroll inject dump_ir dump_graph quiet
-      verify_output stats stats_json verbose =
+  let run input dump_ir dump_graph quiet verify_output stats stats_json =
     handle_errors @@ fun () ->
-    setup_logs verbose;
     let config =
-      if verify_output then Lslp_core.Config.with_validate true config
-      else config
+      Lslp_core.Config.with_validate verify_output input.config
     in
-    let config = apply_inject inject config in
-    let f = load_kernel ~unroll file kernel in
+    let f = load input in
     if dump_ir then
       Fmt.pr "=== scalar IR ===@.%a@.@." Lslp_ir.Printer.pp_func f;
     if dump_graph then
@@ -289,26 +295,21 @@ let compile_cmd =
   let quiet = Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"No report.") in
   Cmd.v
     (Cmd.info "compile" ~doc:"Vectorize a kernel and report what happened")
-    Term.(const run $ file_arg $ kernel_arg $ config_arg $ unroll_arg
-          $ inject_arg $ dump_ir $ dump_graph $ quiet $ verify_output_arg
-          $ stats_arg $ stats_json_arg $ verbose_arg)
+    Term.(const run $ input_term $ dump_ir $ dump_graph $ quiet
+          $ verify_output_arg $ stats_arg $ stats_json_arg)
 
 (* ---- run --------------------------------------------------------- *)
 
 let run_cmd =
-  let run file kernel config unroll inject seed verify_output stats
-      stats_json verbose =
+  let run input seed verify_output stats stats_json =
     handle_errors @@ fun () ->
-    setup_logs verbose;
     let config =
-      if verify_output then Lslp_core.Config.with_validate true config
-      else config
+      Lslp_core.Config.with_validate verify_output input.config
     in
-    let config = apply_inject inject config in
     (* the reference is the kernel as written (loops intact), so the oracle
        checks region formation and vectorization together *)
-    let reference = load_kernel ~unroll:0 file kernel in
-    let f = load_kernel ~unroll file kernel in
+    let reference = load ~unroll:0 input in
+    let f = load input in
     let report, g = Lslp_core.Pipeline.run_cloned ~config f in
     let outcome =
       Lslp_interp.Oracle.compare_runs ~seed ~reference ~candidate:g ()
@@ -337,21 +338,18 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run"
        ~doc:"Vectorize a kernel, simulate scalar vs vector, compare")
-    Term.(const run $ file_arg $ kernel_arg $ config_arg $ unroll_arg
-          $ inject_arg $ seed $ verify_output_arg $ stats_arg
-          $ stats_json_arg $ verbose_arg)
+    Term.(const run $ input_term $ seed $ verify_output_arg $ stats_arg
+          $ stats_json_arg)
 
 (* ---- analyze ------------------------------------------------------ *)
 
 let analyze_cmd =
-  let run file kernel config unroll inject json stats stats_json verbose =
+  let run input json stats stats_json =
     handle_errors @@ fun () ->
-    setup_logs verbose;
     let config =
-      Lslp_core.Config.(config |> with_remarks true |> with_validate true)
+      Lslp_core.Config.(input.config |> with_remarks true |> with_validate true)
     in
-    let config = apply_inject inject config in
-    let f = load_kernel ~unroll file kernel in
+    let f = load input in
     let report, _g = Lslp_core.Pipeline.run_cloned ~config f in
     let remarks = report.Lslp_core.Pipeline.remarks in
     let diags = report.Lslp_core.Pipeline.diagnostics in
@@ -379,17 +377,14 @@ let analyze_cmd =
        ~doc:
          "Explain the vectorizer's decisions: one remark per region \
           considered, with the legality validator's verdict")
-    Term.(const run $ file_arg $ kernel_arg $ config_arg $ unroll_arg
-          $ inject_arg $ json $ stats_arg $ stats_json_arg $ verbose_arg)
+    Term.(const run $ input_term $ json $ stats_arg $ stats_json_arg)
 
 (* ---- trace -------------------------------------------------------- *)
 
 let trace_cmd =
-  let run file kernel config unroll inject format out all verbose =
+  let run input format out all =
     handle_errors @@ fun () ->
-    setup_logs verbose;
-    let config = apply_inject inject config in
-    let config = Lslp_core.Config.with_trace true config in
+    let config = Lslp_core.Config.with_trace true input.config in
     let validated_chrome ~what events ~func_name =
       let chrome =
         Lslp_trace.Trace.chrome_string ~meta:[ ("function", func_name) ]
@@ -406,7 +401,7 @@ let trace_cmd =
       List.iter
         (fun (k : Lslp_kernels.Catalog.kernel) ->
           let f = Lslp_kernels.Catalog.compile k in
-          ignore (Lslp_frontend.Unroll.run ~factor:unroll f);
+          ignore (Lslp_frontend.Unroll.run ~factor:input.unroll f);
           let report, _ = Lslp_core.Pipeline.run_cloned ~config f in
           let events = report.Lslp_core.Pipeline.trace_events in
           let chrome =
@@ -424,7 +419,7 @@ let trace_cmd =
             (List.length events))
         Lslp_kernels.Catalog.all
     else begin
-      let f = load_kernel ~unroll file kernel in
+      let f = load input in
       let report, _ = Lslp_core.Pipeline.run_cloned ~config f in
       let events = report.Lslp_core.Pipeline.trace_events in
       let contents =
@@ -456,15 +451,13 @@ let trace_cmd =
          "Record the vectorizer's decision trace for a kernel and export \
           it as Chrome trace-event JSON (Perfetto), Graphviz DOT or a \
           decision log")
-    Term.(const run $ file_arg $ kernel_arg $ config_arg $ unroll_arg
-          $ inject_arg $ trace_format_arg $ out $ all $ verbose_arg)
+    Term.(const run $ input_term $ trace_format_arg $ out $ all)
 
 (* ---- stats -------------------------------------------------------- *)
 
 let stats_cmd =
   let run config unroll json =
     handle_errors @@ fun () ->
-    setup_logs false;
     let registry = Lslp_obs.Registry.create () in
     let pm = Lslp_telemetry.Pass_metrics.create ~root:"catalog" registry in
     let rows =
@@ -536,9 +529,8 @@ let stats_cmd =
 (* ---- fuzz --------------------------------------------------------- *)
 
 let fuzz_cmd =
-  let run cases seed config inject jobs json verbose =
+  let run cases seed config inject jobs json =
     handle_errors @@ fun () ->
-    setup_logs verbose;
     if jobs > 1 && config <> Some "cond" then begin
       (* sharded on the service pool: every case derives from (seed, case)
          alone, then the whole run is replayed sequentially and compared
@@ -650,8 +642,7 @@ let fuzz_cmd =
          "Differential fuzzing: random well-typed kernels through the \
           pipeline under random configurations (and injected faults), \
           checked against the scalar oracle")
-    Term.(const run $ cases $ seed $ config $ inject_arg $ jobs $ json
-          $ verbose_arg)
+    Term.(const run $ cases $ seed $ config $ inject_arg $ jobs $ json)
 
 (* ---- batch -------------------------------------------------------- *)
 
@@ -722,7 +713,6 @@ let batch_cmd =
       repeat injects expect stats_flag stats_json metrics_out metrics_format
       flight_out verbose =
     handle_errors @@ fun () ->
-    setup_logs verbose;
     let inject_for = inject_for_of injects in
     let pool =
       pool_config_of ~jobs ~queue_cap ~retries ~backoff ~deadline_steps
@@ -863,6 +853,10 @@ let batch_cmd =
                    with attempt seeds and cache outcomes) as JSONL to \
                    $(docv) ($(b,-) for stdout).")
   in
+  let verbose =
+    Arg.(value & flag
+         & info [ "v"; "verbose" ] ~doc:"Print one line per completed job.")
+  in
   Cmd.v
     (Cmd.info "batch"
        ~doc:
@@ -872,7 +866,7 @@ let batch_cmd =
     Term.(const run $ config_arg $ unroll_arg $ jobs $ queue_cap
           $ deadline_steps $ retries $ backoff $ cache $ repeat
           $ service_inject_args $ expect $ stats_arg $ stats_json_arg
-          $ metrics_out $ metrics_format_arg $ flight_out $ verbose_arg)
+          $ metrics_out $ metrics_format_arg $ flight_out $ verbose)
 
 (* ---- domains ------------------------------------------------------ *)
 
@@ -887,9 +881,8 @@ let batch_cmd =
    globally monotone across domains, so output ids outside the job's own
    [low, high) window mean an arena compact index leaked into the IR. *)
 let domains_cmd =
-  let run config unroll jobs verbose =
+  let run config unroll jobs =
     handle_errors @@ fun () ->
-    setup_logs verbose;
     let config =
       Lslp_core.Config.(config |> with_remarks true |> with_validate true)
     in
@@ -1000,7 +993,7 @@ let domains_cmd =
           concurrent domains of the service pool and require bit-identical \
           (alpha-renamed) IR, remarks and counters versus the sequential \
           baseline")
-    Term.(const run $ config_arg $ unroll_arg $ jobs $ verbose_arg)
+    Term.(const run $ config_arg $ unroll_arg $ jobs)
 
 (* ---- profile ------------------------------------------------------ *)
 
@@ -1013,7 +1006,6 @@ let domains_cmd =
 let profile_cmd =
   let run config unroll reps kernel folded_out metrics_out metrics_format =
     handle_errors @@ fun () ->
-    setup_logs false;
     let registry = Lslp_obs.Registry.create () in
     let pm = Lslp_telemetry.Pass_metrics.create ~root:"profile" registry in
     let kernels =
@@ -1103,7 +1095,6 @@ let metrics_verify_cmd =
   in
   let run file format expect =
     handle_errors @@ fun () ->
-    setup_logs false;
     let contents = read_file file in
     let die fmt =
       Fmt.kstr

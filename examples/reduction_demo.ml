@@ -38,7 +38,8 @@ let () =
   List.iter
     (fun (r : Reduction.region) ->
       Fmt.pr "%s: W=%d, cost %+d, %s@." r.root_desc r.lanes r.cost
-        (if r.vectorized then "vectorized" else "kept scalar"))
+        (if r.outcome = Lslp_check.Remark.Vectorized then "vectorized"
+         else "kept scalar"))
     regions;
   Fmt.pr "@.=== vectorized ===@.%a@.@." Lslp_ir.Printer.pp_func vectorized;
 

@@ -3,8 +3,8 @@
    Mirrors -Rpass/-Rpass-missed: every region the vectorizer considered
    gets a record of what happened and why, assembled by the pipeline from
    the region outcome plus notes the graph builder emitted along the way.
-   Rendering goes through a registry of rules so downstream tooling can
-   register extra explanations without touching the pipeline. *)
+   Rendering runs a fixed list of rules, each turning one aspect of the
+   record into a named remark line. *)
 
 type note =
   | Operand_mode_failed of { slots : int }
@@ -30,7 +30,7 @@ type t = {
   notes : note list;
 }
 
-(* ---- rule registry ------------------------------------------------ *)
+(* ---- rules -------------------------------------------------------- *)
 
 type rule = {
   rule_name : string;
@@ -125,29 +125,17 @@ let columns_rule =
                      gs))));
   }
 
-let builtin_rules =
+let rules =
   [
     outcome_rule; seed_rejected_rule; operand_mode_rule; multinode_capped_rule;
     columns_rule;
   ]
 
-(* Custom rules appended at runtime.  Atomic with a CAS retry loop so
-   registration from one domain can never be lost by a concurrent append
-   (lslp-lint R1 would flag the old [ref] version as a data race). *)
-let registered : rule list Atomic.t = Atomic.make []
-
-let rec register_rule r =
-  let old = Atomic.get registered in
-  if not (Atomic.compare_and_set registered old (old @ [ r ])) then
-    register_rule r
-
-let rules () = builtin_rules @ Atomic.get registered
-
 let explain r =
   List.filter_map
     (fun rule ->
       Option.map (fun msg -> (rule.rule_name, msg)) (rule.produce r))
-    (rules ())
+    rules
 
 let pp ppf r =
   if r.lanes > 0 then
@@ -169,6 +157,13 @@ let outcome_name = function
   | Reduction_unmatched _ -> "reduction-unmatched"
   | Degraded _ -> "degraded"
   | Budget_exhausted _ -> "budget-exhausted"
+
+let trace_name = function
+  | Vectorized -> "vectorized"
+  | Unprofitable -> "rejected-cost"
+  | Not_schedulable -> "not-schedulable"
+  | Reduction_unmatched _ -> "reduction-unmatched"
+  | Degraded _ | Budget_exhausted _ -> "degraded"
 
 let remark_json r =
   Json.Obj

@@ -4,7 +4,7 @@
     (vectorized / unprofitable / not schedulable / reduction too narrow)
     plus {!note}s gathered while the graph was built (operand-reorder slots
     that ended FAILED, multi-node growth capped, operand columns gathered
-    and why).  A small rule registry turns records into human-readable
+    and why).  A fixed list of rules turns records into human-readable
     remark lines; {!report_to_json} renders the machine form. *)
 
 type note =
@@ -39,26 +39,18 @@ type t = {
   notes : note list;
 }
 
-(** {2 Rule registry} *)
-
-type rule = {
-  rule_name : string;
-  produce : t -> string option;
-      (** [None] when the rule does not apply to this region *)
-}
-
-val builtin_rules : rule list
-
-val register_rule : rule -> unit
-(** Append a custom rule; it runs after the built-in ones. *)
-
-val rules : unit -> rule list
-
 val explain : t -> (string * string) list
-(** [(rule_name, message)] for every applicable rule, in registry order. *)
+(** [(rule_name, message)] for every applicable built-in rule, in a fixed
+    order: outcome, seed-rejected, operand-mode-failed, multi-node-capped,
+    gathered-columns. *)
 
 val pp : t Fmt.t
 (** Multi-line human-readable remark for one region. *)
+
+val trace_name : outcome -> string
+(** The outcome as a decision-trace [Region_outcome] event names it:
+    [vectorized], [rejected-cost], [not-schedulable] or [degraded] (both
+    rollback outcomes). *)
 
 val report_json :
   config_name:string ->

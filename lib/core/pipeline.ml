@@ -30,21 +30,14 @@ module Budget = Lslp_robust.Budget
 module Inject = Lslp_robust.Inject
 module Transact = Lslp_robust.Transact
 module Probe = Lslp_telemetry.Probe
-
-let log_src = Logs.Src.create "lslp" ~doc:"(L)SLP vectorization pass"
-
-module Log = (val Logs.src_log log_src)
-
-type region_outcome = Vectorized | Scalar | Degraded of string
+module Remark = Lslp_check.Remark
 
 type region = {
   region_id : string;
   seed_desc : string;
   lanes : int;
   cost : Cost.summary;
-  vectorized : bool;
-  not_schedulable : bool;
-  outcome : region_outcome;
+  outcome : Remark.outcome;  (* never [Reduction_unmatched] *)
 }
 
 type report = {
@@ -114,8 +107,16 @@ let aggregate_notes (notes : Lslp_check.Remark.note list) :
       (fun (reason, count) -> Column_rejected { reason; count })
       !columns
 
-let degraded_desc (failure : Transact.failure) =
-  Fmt.str "%a" Transact.pp_failure failure
+let failed_outcome (failure : Transact.failure) : Remark.outcome =
+  let { Transact.pass; error; budget_exhausted } = failure in
+  if budget_exhausted then Remark.Budget_exhausted { pass; what = error }
+  else Remark.Degraded { pass; error }
+
+let is_degraded : Remark.outcome -> bool = function
+  | Remark.Degraded _ | Remark.Budget_exhausted _ -> true
+  | Remark.Vectorized | Remark.Unprofitable | Remark.Not_schedulable
+  | Remark.Reduction_unmatched _ ->
+    false
 
 (* The unprotected driver: individual regions are transactional, but a bug
    in the driver itself (or in seed collection) would still escape — [run]
@@ -210,9 +211,39 @@ let run_unprotected ?trace ~(config : Config.t) (f : Func.t) : report =
       Hashtbl.replace probes label p;
       p
   in
-  let degrade ~region_id ~seed_desc ~lanes (failure : Transact.failure) =
+  (* The one write site of a region decision: the committed-outcome
+     counter, the trace's [Region_outcome] (only when [trace] is passed —
+     reductions record theirs inside their own span), the remark and the
+     report row.  A degraded region was never costed. *)
+  let decide ?trace ~region_id ~seed_desc ~lanes ~cost ?(notes = [])
+      (outcome : Remark.outcome) =
     let c = Probe.counters (probe_of region_id) in
-    c.Probe.regions_degraded <- c.Probe.regions_degraded + 1;
+    let degraded = is_degraded outcome in
+    let costed = if degraded then None else Some cost.Cost.total in
+    if outcome = Remark.Vectorized then
+      c.Probe.regions_vectorized <- c.Probe.regions_vectorized + 1
+    else if degraded then
+      c.Probe.regions_degraded <- c.Probe.regions_degraded + 1;
+    Option.iter
+      (fun tr ->
+        Lslp_trace.Trace.record tr
+          (Lslp_trace.Trace.Region_outcome
+             { seed = seed_desc; lanes; outcome = Remark.trace_name outcome;
+               cost = costed }))
+      trace;
+    add_remark
+      {
+        Remark.region = seed_desc;
+        block = region_id;
+        lanes;
+        cost = costed;
+        threshold = config.Config.threshold;
+        outcome;
+        notes;
+      };
+    regions := { region_id; seed_desc; lanes; cost; outcome } :: !regions
+  in
+  let degrade ~region_id ~seed_desc ~lanes (failure : Transact.failure) =
     Option.iter
       (fun tr ->
         Lslp_trace.Trace.record tr
@@ -221,43 +252,10 @@ let run_unprotected ?trace ~(config : Config.t) (f : Func.t) : report =
                pass = failure.Transact.pass;
                error = failure.Transact.error;
                budget_exhausted = failure.Transact.budget_exhausted;
-             });
-        Lslp_trace.Trace.record tr
-          (Lslp_trace.Trace.Region_outcome
-             { seed = seed_desc; lanes; outcome = "degraded"; cost = None }))
+             }))
       trace;
-    Log.info (fun m ->
-        m "%s: [%s] %s degraded: %a" config.Config.name region_id seed_desc
-          Transact.pp_failure failure);
-    add_remark
-      {
-        Remark.region = seed_desc;
-        block = region_id;
-        lanes;
-        cost = None;
-        threshold = config.Config.threshold;
-        outcome =
-          (if failure.Transact.budget_exhausted then
-             Remark.Budget_exhausted
-               { pass = failure.Transact.pass;
-                 what = failure.Transact.error }
-           else
-             Remark.Degraded
-               { pass = failure.Transact.pass;
-                 error = failure.Transact.error });
-        notes = [];
-      };
-    regions :=
-      {
-        region_id;
-        seed_desc;
-        lanes;
-        cost = zero_cost;
-        vectorized = false;
-        not_schedulable = false;
-        outcome = Degraded (degraded_desc failure);
-      }
-      :: !regions
+    decide ?trace ~region_id ~seed_desc ~lanes ~cost:zero_cost
+      (failed_outcome failure)
   in
   let run_block (block : Block.t) =
     let region_id = Block.label block in
@@ -320,9 +318,6 @@ let run_unprotected ?trace ~(config : Config.t) (f : Func.t) : report =
                        { seed = describe_seed seed;
                          lanes = Array.length seed }))
                 trace;
-              Log.debug (fun m ->
-                  m "%s: [%s] building graph for seed %s" config.Config.name
-                    region_id (describe_seed seed));
               cur_pass := "graph-build";
               Config.boundary config Inject.Graph_build;
               let notes = ref [] in
@@ -358,13 +353,8 @@ let run_unprotected ?trace ~(config : Config.t) (f : Func.t) : report =
                          accepted = Cost.profitable config cost;
                        }))
                 trace;
-              Log.debug (fun m ->
-                  m "%s: [%s] seed %s -> %d nodes, cost %+d"
-                    config.Config.name region_id (describe_seed seed)
-                    (List.length (Graph.nodes graph))
-                    cost.Cost.total);
               cur_pass := "codegen";
-              let region =
+              let outcome =
                 if Cost.profitable config cost then begin
                   Config.boundary config Inject.Codegen;
                   match
@@ -379,91 +369,31 @@ let run_unprotected ?trace ~(config : Config.t) (f : Func.t) : report =
                     cur_pass := "verify";
                     Config.boundary config Inject.Verify;
                     verify_or_abort "verify";
-                    (* only now is the region committed; a verify abort
-                       above must not leave a phantom vectorized count *)
-                    pc.Probe.regions_vectorized <-
-                      pc.Probe.regions_vectorized + 1;
-                    Log.info (fun m ->
-                        m "%s: [%s] vectorized %s (cost %+d)"
-                          config.Config.name region_id (describe_seed seed)
-                          cost.Cost.total);
                     checkpoint "codegen+dce";
-                    {
-                      region_id;
-                      seed_desc = describe_seed seed;
-                      lanes = Array.length seed;
-                      cost;
-                      vectorized = true;
-                      not_schedulable = false;
-                      outcome = Vectorized;
-                    }
-                  | Codegen.Not_schedulable ->
-                    {
-                      region_id;
-                      seed_desc = describe_seed seed;
-                      lanes = Array.length seed;
-                      cost;
-                      vectorized = false;
-                      not_schedulable = true;
-                      outcome = Scalar;
-                    }
+                    (* committed only past the verify abort above, so
+                       [decide] never counts a phantom vectorized region *)
+                    Remark.Vectorized
+                  | Codegen.Not_schedulable -> Remark.Not_schedulable
                   | Codegen.Failed msg ->
                     raise
                       (Transact.Check_failed { pass = "codegen"; error = msg })
                 end
-                else
-                  {
-                    region_id;
-                    seed_desc = describe_seed seed;
-                    lanes = Array.length seed;
-                    cost;
-                    vectorized = false;
-                    not_schedulable = false;
-                    outcome = Scalar;
-                  }
+                else Remark.Unprofitable
               in
-              (if config.Config.remarks then begin
-                 let notes = List.rev !notes in
-                 (* the first bundle built is the seed itself: if the root
-                    is a gather, its rejection explains the whole region *)
-                 let notes =
-                   match (root.Graph.shape, notes) with
-                   | ( Graph.Gather _,
-                       Remark.Column_rejected { reason; _ } :: rest ) ->
-                     Remark.Seed_rejected { reason } :: rest
-                   | _, notes -> notes
-                 in
-                 add_remark
-                   {
-                     Remark.region = region.seed_desc;
-                     block = region_id;
-                     lanes = region.lanes;
-                     cost = Some cost.Cost.total;
-                     threshold = config.Config.threshold;
-                     outcome =
-                       (if region.vectorized then Remark.Vectorized
-                        else if region.not_schedulable then
-                          Remark.Not_schedulable
-                        else Remark.Unprofitable);
-                     notes = aggregate_notes notes;
-                   }
-               end);
-              Option.iter
-                (fun tr ->
-                  Lslp_trace.Trace.record tr
-                    (Lslp_trace.Trace.Region_outcome
-                       {
-                         seed = region.seed_desc;
-                         lanes = region.lanes;
-                         outcome =
-                           (if region.vectorized then "vectorized"
-                            else if region.not_schedulable then
-                              "not-schedulable"
-                            else "rejected-cost");
-                         cost = Some cost.Cost.total;
-                       }))
-                trace;
-              regions := region :: !regions)
+              let notes =
+                if config.Config.remarks then
+                  (* the first bundle built is the seed itself: if the root
+                     is a gather, its rejection explains the whole region *)
+                  aggregate_notes
+                    (match (root.Graph.shape, List.rev !notes) with
+                     | ( Graph.Gather _,
+                         Remark.Column_rejected { reason; _ } :: rest ) ->
+                       Remark.Seed_rejected { reason } :: rest
+                     | _, notes -> notes)
+                else []
+              in
+              decide ?trace ~region_id ~seed_desc:(describe_seed seed)
+                ~lanes:(Array.length seed) ~cost ~notes outcome)
       in
       match result with
       | Ok () -> ()
@@ -481,6 +411,7 @@ let run_unprotected ?trace ~(config : Config.t) (f : Func.t) : report =
     done;
     (* after the store seeds: the reduction-tree idiom (paper §2.2) *)
     if config.Config.reductions && not !exhausted then begin
+      (* remark only: an unmatched candidate is never a report row *)
       let on_skipped (c : Reduction.candidate) =
         let leaves = List.length c.Reduction.cand_leaves in
         let elt =
@@ -513,59 +444,30 @@ let run_unprotected ?trace ~(config : Config.t) (f : Func.t) : report =
                   Reduction.run ~config ~meter ~probe ?trace ~ids:graph_ids
                     ?record:record_opt ~on_skipped ?arena:!live_arena block)
             in
-            if
-              List.exists (fun r -> r.Reduction.vectorized) rs
-              && Inject.corrupts inject
-            then ignore (Inject.corrupt_block block);
             (* the block is only mutated when a reduction vectorized
                (rejected/unschedulable candidates emit nothing, and a
                half-rewrite raises out of this transaction), so an
                unvectorized outcome leaves the already-verified block
                byte-identical — skip the re-check *)
-            if List.exists (fun r -> r.Reduction.vectorized) rs then
-              verify_or_abort "reduction-verify";
+            if
+              List.exists
+                (fun r -> r.Reduction.outcome = Remark.Vectorized)
+                rs
+            then begin
+              if Inject.corrupts inject then
+                ignore (Inject.corrupt_block block);
+              verify_or_abort "reduction-verify"
+            end;
             rs)
       in
       match result with
       | Ok rs ->
         List.iter
           (fun (r : Reduction.region) ->
-            if r.Reduction.vectorized then
-              pc.Probe.regions_vectorized <- pc.Probe.regions_vectorized + 1)
-          rs;
-        List.iter
-          (fun (r : Reduction.region) ->
-            add_remark
-              {
-                Remark.region = r.Reduction.root_desc;
-                block = region_id;
-                lanes = r.Reduction.lanes;
-                cost = Some r.Reduction.cost;
-                threshold = config.Config.threshold;
-                outcome =
-                  (if r.Reduction.vectorized then Remark.Vectorized
-                   else if r.Reduction.not_schedulable then
-                     Remark.Not_schedulable
-                   else Remark.Unprofitable);
-                notes = [];
-              };
-            regions :=
-              {
-                region_id;
-                seed_desc = r.Reduction.root_desc;
-                lanes = r.Reduction.lanes;
-                cost =
-                  {
-                    Cost.per_node = [];
-                    extract_cost = 0;
-                    total = r.Reduction.cost;
-                  };
-                vectorized = r.Reduction.vectorized;
-                not_schedulable = r.Reduction.not_schedulable;
-                outcome =
-                  (if r.Reduction.vectorized then Vectorized else Scalar);
-              }
-              :: !regions)
+            decide ~region_id ~seed_desc:r.Reduction.root_desc
+              ~lanes:r.Reduction.lanes
+              ~cost:{ zero_cost with Cost.total = r.Reduction.cost }
+              r.Reduction.outcome)
           rs;
         checkpoint "reduction"
       | Error failure ->
@@ -637,15 +539,15 @@ let run_unprotected ?trace ~(config : Config.t) (f : Func.t) : report =
     regions;
     total_cost =
       List.fold_left
-        (fun acc r -> if r.vectorized then acc + r.cost.Cost.total else acc)
+        (fun acc r ->
+          if r.outcome = Remark.Vectorized then acc + r.cost.Cost.total
+          else acc)
         0 regions;
     vectorized_regions =
-      List.length (List.filter (fun r -> r.vectorized) regions);
-    degraded_regions =
       List.length
-        (List.filter
-           (fun r -> match r.outcome with Degraded _ -> true | _ -> false)
-           regions);
+        (List.filter (fun r -> r.outcome = Remark.Vectorized) regions);
+    degraded_regions =
+      List.length (List.filter (fun r -> is_degraded r.outcome) regions);
     remarks = List.rev !remarks;
     diagnostics = List.rev !diagnostics;
     telemetry;
@@ -695,9 +597,7 @@ let run ?metrics ?(config = Config.lslp) (f : Func.t) : report =
             seed_desc = Fmt.str "(%s)" failure.Transact.pass;
             lanes = 0;
             cost = zero_cost;
-            vectorized = false;
-            not_schedulable = false;
-            outcome = Degraded (degraded_desc failure);
+            outcome = failed_outcome failure;
           } ];
       total_cost = 0;
       vectorized_regions = 0;
@@ -732,10 +632,13 @@ let pp_report ppf r =
       Fmt.pf ppf "@,  [%s] %s (VL=%d): cost %+d%s" reg.region_id
         reg.seed_desc reg.lanes reg.cost.Cost.total
         (match reg.outcome with
-         | Vectorized -> " [vectorized]"
-         | Degraded why -> Fmt.str " [degraded: %s]" why
-         | Scalar ->
-           if reg.not_schedulable then " [not schedulable]"
-           else " [kept scalar]"))
+         | Remark.Vectorized -> " [vectorized]"
+         | Remark.Not_schedulable -> " [not schedulable]"
+         | Remark.Unprofitable | Remark.Reduction_unmatched _ ->
+           " [kept scalar]"
+         | Remark.Degraded { pass; error } ->
+           Fmt.str " [degraded: %s: %s]" pass error
+         | Remark.Budget_exhausted { pass; what } ->
+           Fmt.str " [degraded: %s: %s [budget]]" pass what))
     r.regions;
   Fmt.pf ppf "@]"

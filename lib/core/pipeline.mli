@@ -9,27 +9,24 @@
     snapshot ({!Lslp_robust.Transact}), so malformed graphs, resource-budget
     exhaustion ({!Lslp_robust.Budget}), injected faults
     ({!Lslp_robust.Inject}) and structural-verifier findings roll the region
-    back to its scalar form and surface as a [Degraded] outcome — they never
-    raise out of the pipeline.  A whole-function snapshot backstops driver
-    bugs the same way.  Only [Out_of_memory] and [Sys.Break] propagate. *)
+    back to its scalar form and surface as a [Degraded] (or
+    [Budget_exhausted]) outcome — they never raise out of the pipeline.  A
+    whole-function snapshot backstops driver bugs the same way.  Only [Out_of_memory] and [Sys.Break] propagate. *)
 
 open Lslp_ir
-
-type region_outcome =
-  | Vectorized
-  | Scalar      (** kept scalar: unprofitable or not schedulable *)
-  | Degraded of string
-      (** a pass failed; the region was rolled back to scalar.  The string
-          is ["pass: error"], e.g. ["codegen: injected fault"]. *)
 
 type region = {
   region_id : string;  (** label of the basic block holding this region *)
   seed_desc : string;
   lanes : int;
   cost : Cost.summary;
-  vectorized : bool;
-  not_schedulable : bool;
-  outcome : region_outcome;
+      (** all zero when degraded; a reduction row carries only [total] *)
+  outcome : Lslp_check.Remark.outcome;
+      (** the same value the region's remark carries: [Vectorized],
+          [Unprofitable], [Not_schedulable], or — after a failed pass rolled
+          the region back to scalar — [Degraded] / [Budget_exhausted].
+          Never [Reduction_unmatched]: a reduction with too few leaves is a
+          remark only. *)
 }
 
 type report = {
@@ -40,7 +37,9 @@ type report = {
   degraded_regions : int;
       (** regions rolled back by a failure; 0 on any healthy run *)
   remarks : Lslp_check.Remark.t list;
-      (** one per region considered; empty unless [config.remarks] *)
+      (** one per row of [regions] (same order, same outcome) plus one per
+          [Reduction_unmatched] candidate; empty unless [config.remarks],
+          and after a whole-function failure *)
   diagnostics : Lslp_check.Diagnostic.t list;
       (** legality/verifier findings; empty unless [config.validate] *)
   telemetry : Lslp_telemetry.Report.t;

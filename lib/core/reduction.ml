@@ -159,8 +159,7 @@ type region = {
   root_desc : string;
   lanes : int;
   cost : int;
-  vectorized : bool;
-  not_schedulable : bool;
+  outcome : Lslp_check.Remark.outcome;
 }
 
 (* Vectorize every profitable reduction in one block, in program order.
@@ -223,14 +222,19 @@ let run ?(config = Config.lslp) ?meter ?probe ?trace ?ids ?record
                    accepted;
                  }))
           trace;
-        let outcome_event outcome =
+        (* one decided candidate: its trace event and its region record *)
+        let decided outcome =
           Option.iter
             (fun tr ->
               Lslp_trace.Trace.record tr
                 (Lslp_trace.Trace.Region_outcome
-                   { seed = desc; lanes = plan.lanes; outcome;
+                   { seed = desc; lanes = plan.lanes;
+                     outcome = Lslp_check.Remark.trace_name outcome;
                      cost = Some plan.cost }))
-            trace
+            trace;
+          regions :=
+            { root_desc = desc; lanes = plan.lanes; cost = plan.cost; outcome }
+            :: !regions
         in
         if accepted then begin
           Config.boundary config Lslp_robust.Inject.Reduction;
@@ -241,17 +245,8 @@ let run ?(config = Config.lslp) ?meter ?probe ?trace ?ids ?record
           | Codegen.Vectorized ->
             ignore (Dce.run_block block);
             cur_arena := None;
-            outcome_event "vectorized";
-            regions :=
-              { root_desc = desc; lanes = plan.lanes; cost = plan.cost;
-                vectorized = true; not_schedulable = false }
-              :: !regions
-          | Codegen.Not_schedulable ->
-            outcome_event "not-schedulable";
-            regions :=
-              { root_desc = desc; lanes = plan.lanes; cost = plan.cost;
-                vectorized = false; not_schedulable = true }
-              :: !regions
+            decided Lslp_check.Remark.Vectorized
+          | Codegen.Not_schedulable -> decided Lslp_check.Remark.Not_schedulable
           | Codegen.Failed msg ->
             (* the block may be half-rewritten; abort the transaction the
                caller wrapped around us so it rolls the region back *)
@@ -259,12 +254,6 @@ let run ?(config = Config.lslp) ?meter ?probe ?trace ?ids ?record
               (Lslp_robust.Transact.Check_failed
                  { pass = "reduction-codegen"; error = msg })
         end
-        else begin
-          outcome_event "rejected-cost";
-          regions :=
-            { root_desc = desc; lanes = plan.lanes; cost = plan.cost;
-              vectorized = false; not_schedulable = false }
-            :: !regions
-        end)
+        else decided Lslp_check.Remark.Unprofitable)
   done;
   List.rev !regions

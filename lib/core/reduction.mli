@@ -20,11 +20,11 @@ val collect_candidates : ?uses:Use_info.t -> Block.t -> candidate list
     a fresh arena snapshot is taken otherwise. *)
 
 type region = {
-  root_desc : string;
+  root_desc : string;  (** ["reduce OP xLEAVES"] *)
   lanes : int;
-  cost : int;
-  vectorized : bool;
-  not_schedulable : bool;
+  cost : int;  (** net cost of the whole rewrite; negative = profitable *)
+  outcome : Lslp_check.Remark.outcome;
+      (** [Vectorized], [Not_schedulable] or [Unprofitable] *)
 }
 
 val run :

@@ -308,20 +308,6 @@ let test_remarks_cover_regions () =
         (List.length seed_remarks))
     Lslp_kernels.Catalog.all
 
-let test_custom_rule () =
-  let rule =
-    { Remark.rule_name = "test-threshold";
-      produce =
-        (fun r -> if r.Remark.threshold = 0 then Some "default threshold" else None) }
-  in
-  Remark.register_rule rule;
-  let report, _ = analyze (kernel "motivation-loads") in
-  match report.Pipeline.remarks with
-  | r :: _ ->
-    check_bool "custom rule fires" true
-      (List.mem_assoc "test-threshold" (Remark.explain r))
-  | [] -> Alcotest.fail "no remarks"
-
 let test_json_escaping () =
   let r =
     {
@@ -416,7 +402,6 @@ let suite =
     tc "rejected seed names its rejection reason" test_remark_seed_rejected;
     tc "gathered operand columns are noted" test_remark_gathered_columns;
     tc "one remark per region across the catalog" test_remarks_cover_regions;
-    tc "custom rules join the registry" test_custom_rule;
     tc "JSON output escapes strings and encodes null costs"
       test_json_escaping;
     qcheck_catalog;

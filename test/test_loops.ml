@@ -369,7 +369,8 @@ let pipeline_tests =
         (match report.Pipeline.regions with
          | [ r ] ->
            check_string "region id" "loop0.x4" r.Pipeline.region_id;
-           check_bool "vectorized" true r.Pipeline.vectorized
+           check_bool "vectorized" true
+             (r.Pipeline.outcome = Lslp_check.Remark.Vectorized)
          | _ -> Alcotest.fail "expected one region");
         check_bool "wide store emitted" true
           (count_insts is_wide_store g = 1);
@@ -448,7 +449,8 @@ kernel k(f64 Y[], f64 X[]) {
             (List.map
                (fun (r : Pipeline.region) -> r.Pipeline.region_id)
                (List.filter
-                  (fun (r : Pipeline.region) -> r.Pipeline.vectorized)
+                  (fun (r : Pipeline.region) ->
+                    r.Pipeline.outcome = Lslp_check.Remark.Vectorized)
                   report.Pipeline.regions))
         in
         check_bool "entry and loop both vectorized" true

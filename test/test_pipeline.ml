@@ -3,6 +3,7 @@
 
 open Lslp_core
 open Helpers
+module Inject = Lslp_robust.Inject
 
 let pipeline_tests =
   [
@@ -119,4 +120,95 @@ let sensitivity_tests =
         check_int "vectorized" 1 report.Pipeline.vectorized_regions);
   ]
 
-let suite = pipeline_tests @ config_tests @ sensitivity_tests
+(* One region decision reaches four channels — the report row, its remark,
+   the trace's [Region_outcome] and the block's committed-outcome counters.
+   They are written at one site and must agree on every catalog kernel,
+   with and without injected faults. *)
+let channel_tests =
+  let module Remark = Lslp_check.Remark in
+  let module Trace = Lslp_trace.Trace in
+  let agree what name expected got =
+    let show rows =
+      String.concat "; "
+        (List.map
+           (fun (block, seed, lanes, o) ->
+             Fmt.str "[%s] %s VL=%d %s" block seed lanes (name o))
+           rows)
+    in
+    if expected <> got then
+      Alcotest.failf "%s:@.  expected %s@.  got      %s" what (show expected)
+        (show got)
+  in
+  let one_run (k : Lslp_kernels.Catalog.kernel) base inject =
+    let config = Config.(base |> with_remarks true |> with_trace true) in
+    let config =
+      match inject with
+      | Some i -> Config.with_inject i config
+      | None -> config
+    in
+    let what =
+      Fmt.str "%s/%s/%s" k.key config.Config.name
+        (if inject = None then "clean" else "injected")
+    in
+    let f = kernel k.key in
+    ignore (Lslp_frontend.Unroll.run ~factor:4 f);
+    let report = Pipeline.run ~config f in
+    let rows =
+      List.map
+        (fun (r : Pipeline.region) ->
+          (r.Pipeline.region_id, r.Pipeline.seed_desc, r.Pipeline.lanes,
+           r.Pipeline.outcome))
+        report.Pipeline.regions
+    in
+    let remarks =
+      List.filter_map
+        (fun (m : Remark.t) ->
+          match m.Remark.outcome with
+          | Remark.Reduction_unmatched _ -> None
+          | o -> Some (m.Remark.block, m.Remark.region, m.Remark.lanes, o))
+        report.Pipeline.remarks
+    in
+    agree (what ^ ": remarks") Remark.trace_name rows remarks;
+    (* a rolled-back reduction keeps the events it recorded before the
+       failure, so the trace matches the rows only on clean runs *)
+    if inject = None then
+      agree (what ^ ": trace") Fun.id
+        (List.map (fun (b, s, l, o) -> (b, s, l, Remark.trace_name o)) rows)
+        (List.filter_map
+           (fun (e : Trace.event) ->
+             match e.Trace.payload with
+             | Trace.Region_outcome { seed; lanes; outcome; _ } ->
+               Some (e.Trace.region, seed, lanes, outcome)
+             | _ -> None)
+           report.Pipeline.trace_events);
+    let count block p =
+      List.length (List.filter (fun (b, _, _, o) -> b = block && p o) rows)
+    in
+    List.iter
+      (fun (block, (snap : Lslp_telemetry.Probe.snapshot)) ->
+        let c = snap.Lslp_telemetry.Probe.s_counters in
+        check_int
+          (Fmt.str "%s [%s] vec" what block)
+          (count block (fun o -> o = Remark.Vectorized))
+          c.Lslp_telemetry.Probe.regions_vectorized;
+        check_int
+          (Fmt.str "%s [%s] degraded" what block)
+          (count block (function
+            | Remark.Degraded _ | Remark.Budget_exhausted _ -> true
+            | _ -> false))
+          c.Lslp_telemetry.Probe.regions_degraded)
+      report.Pipeline.telemetry.Lslp_telemetry.Report.blocks
+  in
+  [
+    tc "one decision, every channel agrees" (fun () ->
+        List.iter
+          (fun k ->
+            List.iter
+              (fun base ->
+                one_run k base None;
+                one_run k base (Some (Inject.make ~rate:0.5 ~seed:7 ())))
+              Config.[ lslp; slp; slp_nr; lslp_la 2; lslp_multi 2 ])
+          Lslp_kernels.Catalog.all);
+  ]
+
+let suite = pipeline_tests @ config_tests @ sensitivity_tests @ channel_tests

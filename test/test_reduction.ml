@@ -65,7 +65,8 @@ let vectorize_tests =
         let reference = Func.clone f in
         let regions = Reduction.run ~config:Config.lslp (Func.entry f) in
         check_int "one region" 1 (List.length regions);
-        check_bool "vectorized" true (List.hd regions).Reduction.vectorized;
+        check_bool "vectorized" true
+          ((List.hd regions).Reduction.outcome = Lslp_check.Remark.Vectorized);
         check_int "one reduce" 1 (count_kind is_reduce f);
         check_int "two wide loads" 2 (count_insts is_wide_load f);
         assert_sound ~reference ~candidate:f ());
@@ -133,7 +134,9 @@ kernel k(f64 S[], f64 T[], f64 A[], i64 i) {
         let reference = Func.clone f in
         let regions = Reduction.run ~config:Config.lslp (Func.entry f) in
         check_bool "vectorized" true
-          (List.exists (fun r -> r.Reduction.vectorized) regions);
+          (List.exists
+             (fun r -> r.Reduction.outcome = Lslp_check.Remark.Vectorized)
+             regions);
         assert_sound ~reference ~candidate:f ());
     tc "pipeline runs reductions after store seeds" (fun () ->
         let f = kernel "453.hreciprocal" in

@@ -210,13 +210,12 @@ let rollback_tests =
             List.filter_map
               (fun r ->
                 match r.Pipeline.outcome with
-                | Pipeline.Degraded d -> Some d
+                | Lslp_check.Remark.Degraded { pass; _ } -> Some pass
                 | _ -> None)
               report.Pipeline.regions
           in
           check_bool "at least one" true (degraded <> []);
-          check_bool "names codegen" true
-            (List.exists (fun d -> contains d "codegen") degraded));
+          check_bool "names codegen" true (List.mem "codegen" degraded));
       tc "injection under validation produces no legality errors" (fun () ->
           let _, candidate = load "motivation-multi" in
           let config =
@@ -247,6 +246,8 @@ let budget_tests =
                | Lslp_check.Remark.Budget_exhausted _ -> true
                | _ -> false)
              report.Pipeline.remarks);
+        check_bool "budget marker in the report" true
+          (contains (Fmt.str "%a" Pipeline.pp_report report) " [budget]]");
         assert_sound ~reference ~candidate ());
     tc "graph-node cap degrades, stays sound" (fun () ->
         let budget = { Budget.unlimited with Budget.max_graph_nodes = 1 } in

@@ -170,7 +170,9 @@ let suite =
         let reference = Func.clone f in
         let regions = Reduction.run ~config:Config.lslp (Func.entry f) in
         check_bool "vectorized" true
-          (List.exists (fun r -> r.Reduction.vectorized) regions);
+          (List.exists
+             (fun r -> r.Reduction.outcome = Lslp_check.Remark.Vectorized)
+             regions);
         check_bool "8-lane reduce" true
           (count_insts
              (fun i -> match i.Instr.kind with
