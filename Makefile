@@ -1,6 +1,6 @@
 # Convenience wrappers around dune.
 
-.PHONY: all test check bench ci clean fuzz lint lint-exceptions \
+.PHONY: all test check bench ci clean fuzz lint \
   domain-smoke serve-smoke bench-lint stats-golden bench-check \
   bench-baseline bench-speed bench-speed-report bench-serve \
   bench-serve-report trace-golden cond-smoke metrics-check \
@@ -61,12 +61,6 @@ stats-golden:
 # Fails on any unwaived finding and on stale entries in lint.waivers.
 lint:
 	dune exec bin/lint.exe -- --check-waivers lib bin
-
-# Historical alias: the exception-discipline gate is now lslp-lint rule
-# R3 (which also sees invalid_arg and bare raises of predefined
-# exceptions, with per-site waivers in lint.waivers).
-lint-exceptions:
-	dune exec bin/lint.exe -- --rule R3 lib bin
 
 # Domain-safety proof behind the planned parallel compile service: the
 # whole catalog compiled on 8 concurrent domains must reproduce the

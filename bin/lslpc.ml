@@ -258,11 +258,14 @@ let compile_cmd =
     if dump_graph then
       List.iter
         (fun block ->
-          let seeds = Lslp_core.Seeds.collect config block in
+          let analysis = Lslp_core.Block_analysis.create block in
+          let seeds = Lslp_core.Seeds.collect config analysis in
           List.iteri
             (fun k seed ->
-              let graph, _ = Lslp_core.Graph_builder.build config block seed in
-              let cost = Lslp_core.Cost.evaluate config graph block in
+              let graph, _ =
+                Lslp_core.Graph_builder.build config analysis seed
+              in
+              let cost = Lslp_core.Cost.evaluate config graph analysis in
               Fmt.pr "=== %s graph for seed %d of [%s] ===@.%a@.%a@.@."
                 config.name k
                 (Lslp_ir.Block.label block)

@@ -45,23 +45,26 @@ let () =
   Fmt.pr "=== hand-built IR ===@.%a@.@." Printer.pp_func f;
 
   let config = Config.lslp in
+  (* Every stage reads one analysis of the block (arena + dependences);
+     code generation drops it when it rewrites the block. *)
+  let analysis = Block_analysis.create (Func.entry f) in
 
   (* Stage 1: seed discovery — runs of adjacent stores. *)
-  let seeds = Seeds.collect config (Func.entry f) in
+  let seeds = Seeds.collect config analysis in
   Fmt.pr "found %d seed group(s)@." (List.length seeds);
   let seed = List.hd seeds in
 
   (* Stage 2: graph construction (multi-nodes + look-ahead reordering). *)
-  let graph, root = Graph_builder.build config (Func.entry f) seed in
+  let graph, root = Graph_builder.build config analysis seed in
   Fmt.pr "@.=== LSLP graph ===@.%a@.@." (Graph.pp_node graph) root;
 
   (* Stage 3: cost evaluation against the TTI-style model. *)
-  let cost = Cost.evaluate config graph (Func.entry f) in
+  let cost = Cost.evaluate config graph analysis in
   Fmt.pr "=== cost ===@.%a@.@." Cost.pp_summary cost;
   assert (Cost.profitable config cost);
 
   (* Stage 4: code generation + cleanup. *)
-  (match Codegen.run graph (Func.entry f) with
+  (match Codegen.run graph analysis with
    | Codegen.Vectorized -> ()
    | Codegen.Not_schedulable -> failwith "unexpectedly unschedulable"
    | Codegen.Failed msg -> failwith ("codegen failed: " ^ msg));

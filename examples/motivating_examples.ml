@@ -43,9 +43,10 @@ let () =
   List.iter
     (fun key ->
       let f = Catalog.compile_key key in
-      match Seeds.collect Config.lslp (Lslp_ir.Func.entry f) with
+      let analysis = Block_analysis.create (Lslp_ir.Func.entry f) in
+      match Seeds.collect Config.lslp analysis with
       | [ seed ] ->
-        let graph, _ = Graph_builder.build Config.lslp (Lslp_ir.Func.entry f) seed in
+        let graph, _ = Graph_builder.build Config.lslp analysis seed in
         Fmt.pr "=== LSLP graph for %s ===@.%a@.@." key Graph.pp graph
       | _ -> assert false)
     [ "motivation-loads"; "motivation-opcodes"; "motivation-multi" ]

@@ -31,10 +31,14 @@ let () =
         (Lslp_ir.Opcode.binop_name c.cand_op)
         (List.length c.cand_chain)
         (List.length c.cand_leaves))
-    (Reduction.collect_candidates (Lslp_ir.Func.entry scalar));
+    (Reduction.collect_candidates
+       (Block_analysis.create (Lslp_ir.Func.entry scalar)));
 
   let vectorized = Lslp_ir.Func.clone scalar in
-  let regions = Reduction.run ~config:Config.lslp (Lslp_ir.Func.entry vectorized) in
+  let regions =
+    Reduction.run ~config:Config.lslp
+      (Block_analysis.create (Lslp_ir.Func.entry vectorized))
+  in
   List.iter
     (fun (r : Reduction.region) ->
       Fmt.pr "%s: W=%d, cost %+d, %s@." r.root_desc r.lanes r.cost

@@ -61,7 +61,7 @@ let direct_preds (arena : Arena.t) =
     mems;
   preds
 
-let build_arena (arena : Arena.t) =
+let build (arena : Arena.t) =
   let n = Arena.size arena in
   let preds = direct_preds arena in
   (* transitive closure by memoized DFS (data edges may point forward in
@@ -87,10 +87,6 @@ let build_arena (arena : Arena.t) =
     close i
   done;
   { arena; preds; n; reach }
-
-let build block = build_arena (Arena.of_block block)
-
-let arena t = t.arena
 
 let mem t (i : Instr.t) = Arena.mem t.arena i
 
@@ -149,7 +145,7 @@ let schedulable_groups t groups =
    dependence graph allows it.  Used to restore def-before-use after code
    generation appends vector instructions at arbitrary points. *)
 let topo_order block =
-  let t = build block in
+  let t = build (Arena.of_block block) in
   let n = t.n in
   let emitted = Array.make (max n 1) false in
   let order = ref [] in

@@ -2,20 +2,19 @@
 
     Any topological order of this graph preserves straight-line semantics;
     that fact underlies both the bundle-schedulability check (contract groups,
-    test acyclicity) and post-vectorization rescheduling. *)
+    test acyclicity) and post-vectorization rescheduling.
+
+    The vectorizer builds one per block state ([Lslp_core.Block_analysis])
+    and drops it when code generation rewrites the block; the legality
+    snapshot, an independent check, builds its own. *)
 
 open Lslp_ir
 
 type t
 
-val build : Block.t -> t
-(** Snapshot the block into a fresh {!Arena} and build over it. *)
-
-val build_arena : Arena.t -> t
-(** Build over an arena the caller already holds; positions and aliasing
-    come off its precomputed tables. *)
-
-val arena : t -> Arena.t
+val build : Arena.t -> t
+(** Build over a block's arena; positions and aliasing come off its
+    precomputed tables. *)
 
 val mem : t -> Instr.t -> bool
 (** Was this instruction part of the block the graph was built from?
@@ -28,7 +27,7 @@ val depends : t -> Instr.t -> on:Instr.t -> bool
 val reaches : t -> int -> int -> bool
 (** [depends] by compact index (position in the underlying arena): one
     byte read, no id lookup.  Unchecked — callers index with positions
-    obtained from {!arena}. *)
+    in the arena the graph was built over. *)
 
 val independent : t -> Instr.t list -> bool
 (** No member transitively depends on another — the paper's per-bundle

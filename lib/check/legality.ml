@@ -25,7 +25,9 @@ type snapshot = { block_deps : (string * Depgraph.t) list }
 let snapshot (f : Func.t) =
   {
     block_deps =
-      List.map (fun b -> (Block.label b, Depgraph.build b)) (Func.blocks f);
+      List.map
+        (fun b -> (Block.label b, Depgraph.build (Arena.of_block b)))
+        (Func.blocks f);
   }
 
 (* The snapshot graph holding this instruction, if any: an instruction

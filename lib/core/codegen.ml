@@ -59,13 +59,10 @@ let element_scalar (i : Instr.t) =
         (Instr.opclass_name (Instr.opclass i)))
 
 let run ?reduction ?(record = fun ~lanes:_ ~vector:_ -> ()) ?probe ?trace
-    ?deps (graph : Graph.t) (block : Block.t) : outcome =
-  (* [deps] shares the dependence graph (and arena snapshot) the caller
-     already built for this un-mutated block; built fresh otherwise *)
-  let deps =
-    match deps with Some d -> d | None -> Depgraph.build block
-  in
-  let arena = Depgraph.arena deps in
+    (graph : Graph.t) (analysis : Block_analysis.t) : outcome =
+  let block = Block_analysis.block analysis in
+  let deps = Block_analysis.deps analysis in
+  let arena = Block_analysis.arena analysis in
   let n = Arena.size arena in
   (* ---- units ---------------------------------------------------- *)
   let vector_nodes =
@@ -500,6 +497,8 @@ let run ?reduction ?(record = fun ~lanes:_ ~vector:_ -> ()) ?probe ?trace
       probe;
     Block.set_order block (List.rev !out);
     ignore (Dce.run_block block);
+    (* the commit: the analysis described the scalar block *)
+    Block_analysis.commit analysis;
     Vectorized
     with Error msg ->
       (* Emission may have half-rewritten the block (operand substitutions

@@ -37,9 +37,8 @@ val run :
   ?record:(lanes:Instr.t array -> vector:Instr.t -> unit) ->
   ?probe:Lslp_telemetry.Probe.t ->
   ?trace:Lslp_trace.Trace.t ->
-  ?deps:Lslp_analysis.Depgraph.t ->
   Graph.t ->
-  Block.t ->
+  Block_analysis.t ->
   outcome
 (** [record] is invoked once per emitted vector instruction with the scalar
     lanes it replaces — the provenance feed of the legality validator.
@@ -49,6 +48,8 @@ val run :
     outcome is [Vectorized].
     [trace] records one [Emit] event per freshly materialized instruction
     (in emission order, including ones a later rollback discards).
-    [deps] shares a dependence graph (and arena snapshot) already built
-    for the block in its current, pre-codegen form; built fresh
-    otherwise. *)
+    Dependences come off the block's analysis, which must describe the
+    block in its current, pre-codegen form.  [Vectorized] is the commit:
+    it drops the analysis ({!Block_analysis.commit}).  [Not_schedulable]
+    leaves the block and the analysis untouched; after [Failed] the
+    caller's rollback restores the state the analysis still describes. *)

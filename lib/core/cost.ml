@@ -38,8 +38,8 @@ let describe_bundle (insts : Instr.t array) =
   ^ " x"
   ^ string_of_int (Array.length insts)
 
-let evaluate ?(ignore_users = fun (_ : Instr.t) -> false) ?uses
-    (config : Config.t) (graph : Graph.t) (block : Block.t) : summary =
+let evaluate ?(ignore_users = fun (_ : Instr.t) -> false) (config : Config.t)
+    (graph : Graph.t) (analysis : Block_analysis.t) : summary =
   let model = config.Config.model in
   let per_node = ref [] in
   let note nid description cost =
@@ -72,14 +72,12 @@ let evaluate ?(ignore_users = fun (_ : Instr.t) -> false) ?uses
   (* extract cost: vectorized values that still need a scalar copy — either
      they have scalar users outside the graph, or they appear inside a
      gather column (code generation materializes those lanes with extracts) *)
-  let uses =
-    match uses with Some u -> u | None -> Use_info.compute block
-  in
+  let arena = Block_analysis.arena analysis in
   let needs_extract = Lslp_util.Int_table.create 16 in
   List.iter
     (fun (i : Instr.t) ->
       let external_users =
-        Use_info.users_outside uses i
+        Use_info.users_outside arena i
           ~inside:(fun u -> Graph.claimed graph u || ignore_users u)
       in
       if external_users <> [] then

@@ -20,15 +20,13 @@ val bundle_cost : Lslp_costmodel.Model.t -> Instr.t array -> int
 
 val evaluate :
   ?ignore_users:(Instr.t -> bool) ->
-  ?uses:Use_info.t ->
   Config.t ->
   Graph.t ->
-  Block.t ->
+  Block_analysis.t ->
   summary
-(** [ignore_users] marks instructions about to be deleted by the caller
-    (e.g. a reduction chain), whose uses must not be charged extracts.
-    [uses] shares def-use info (an arena snapshot) already computed for
-    the same un-mutated block; a fresh snapshot is taken otherwise. *)
+(** Use counts come off the block's arena.  [ignore_users] marks
+    instructions about to be deleted by the caller (e.g. a reduction
+    chain), whose uses must not be charged extracts. *)
 
 val profitable : Config.t -> summary -> bool
 (** [summary.total < config.threshold]. *)

@@ -22,7 +22,7 @@ type ctx = {
   config : Config.t;
   block : Block.t;
   deps : Depgraph.t;
-  uses : Use_info.t;
+  arena : Arena.t;
   graph : Graph.t;
   note : Lslp_check.Remark.note -> unit;
   meter : Lslp_robust.Budget.meter option;
@@ -30,18 +30,13 @@ type ctx = {
   trace : Lslp_trace.Trace.t option;
 }
 
-let make_ctx ?(note = fun _ -> ()) ?meter ?probe ?trace ?ids ?deps config
-    (block : Block.t) =
-  (* one arena snapshot serves both analyses; [deps] lets the pipeline
-     share the graph it already built for the same un-mutated block *)
-  let deps =
-    match deps with Some d -> d | None -> Depgraph.build block
-  in
+let make_ctx ?(note = fun _ -> ()) ?meter ?probe ?trace ?ids config
+    (analysis : Block_analysis.t) =
   {
     config;
-    block;
-    deps;
-    uses = Use_info.of_arena (Depgraph.arena deps);
+    block = Block_analysis.block analysis;
+    deps = Block_analysis.deps analysis;
+    arena = Block_analysis.arena analysis;
     graph = Graph.create ?ids ();
     note;
     meter;
@@ -65,7 +60,7 @@ let absorbable ctx ~op (v : Instr.value) =
      | Some bop ->
        Opcode.equal_binop bop op
        && Opcode.is_commutative bop && Opcode.is_associative bop
-       && Use_info.has_single_use ctx.uses i
+       && Use_info.has_single_use ctx.arena i
        && Block.mem ctx.block i
        && not (Graph.claimed ctx.graph i)
      | None -> false)
@@ -335,9 +330,9 @@ let record_graph ctx ~desc =
         nodes)
     ctx.trace
 
-let build ?note ?meter ?probe ?trace ?ids ?deps config (block : Block.t)
+let build ?note ?meter ?probe ?trace ?ids config analysis
     (seed : Instr.t array) =
-  let ctx = make_ctx ?note ?meter ?probe ?trace ?ids ?deps config block in
+  let ctx = make_ctx ?note ?meter ?probe ?trace ?ids config analysis in
   let root = build_bundle ctx (Bundle.of_insts seed) in
   (* [desc] is a thunk so the Fmt/Affine pretty-print only runs when a
      trace is attached *)
@@ -346,10 +341,9 @@ let build ?note ?meter ?probe ?trace ?ids ?deps config (block : Block.t)
 
 (* Entry point for reduction vectorization: build one node per leaf chunk
    within a single shared graph (so diamonds across chunks still reuse). *)
-let build_columns ?note ?meter ?probe ?trace ?ids ?deps
-    ?(desc = "reduction") config (block : Block.t)
-    (columns : Bundle.t list) =
-  let ctx = make_ctx ?note ?meter ?probe ?trace ?ids ?deps config block in
+let build_columns ?note ?meter ?probe ?trace ?ids ?(desc = "reduction")
+    config analysis (columns : Bundle.t list) =
+  let ctx = make_ctx ?note ?meter ?probe ?trace ?ids config analysis in
   let nodes = List.map (build_bundle ctx) columns in
   record_graph ctx ~desc:(fun () -> desc);
   (ctx.graph, nodes)

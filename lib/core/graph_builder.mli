@@ -9,9 +9,8 @@ val build :
   ?probe:Lslp_telemetry.Probe.t ->
   ?trace:Lslp_trace.Trace.t ->
   ?ids:Lslp_util.Id_gen.t ->
-  ?deps:Lslp_analysis.Depgraph.t ->
   Config.t ->
-  Block.t ->
+  Block_analysis.t ->
   Instr.t array ->
   Graph.t * Graph.node
 (** Build the graph rooted at the given seed bundle (usually consecutive
@@ -27,8 +26,8 @@ val build :
     [probe] counts fresh graph nodes and score evaluations.
     [ids] is the node-id source threaded by the pipeline so nids stay
     unique and deterministic per run (fresh per build otherwise).
-    [deps] shares a dependence graph (and its arena snapshot) already
-    built for the same un-mutated block; a fresh one is built otherwise.
+    Dependences and use counts come off the block's analysis (its
+    dependence graph is built here if nothing built it yet).
     [trace] records the finished graph ([Graph_start]/[Graph_node]/
     [Graph_edge]/[Dep_edge]) plus the reorder decisions made along the
     way. *)
@@ -39,10 +38,9 @@ val build_columns :
   ?probe:Lslp_telemetry.Probe.t ->
   ?trace:Lslp_trace.Trace.t ->
   ?ids:Lslp_util.Id_gen.t ->
-  ?deps:Lslp_analysis.Depgraph.t ->
   ?desc:string ->
   Config.t ->
-  Block.t ->
+  Block_analysis.t ->
   Bundle.t list ->
   Graph.t * Graph.node list
 (** Build one node per value column within a single shared graph — the

@@ -266,12 +266,9 @@ let run_unprotected ?trace ~(config : Config.t) (f : Func.t) : report =
     let exhausted = ref false in
     let continue_ = ref true in
     let consumed = Lslp_util.Int_table.create 32 in
-    (* the most recent arena snapshot that still describes the block's
-       current state.  Every attempt builds its snapshot before mutating
-       anything, and a rollback restores exactly the snapshotted state, so
-       the arena only dies when a vectorized region *commits* — at loop
-       exit it can be handed to the reduction pass as-is *)
-    let live_arena = ref None in
+    (* one analysis per block state, shared by every seed attempt and the
+       reduction pass; only a codegen commit drops it *)
+    let analysis = Block_analysis.create block in
     while !continue_ && not !exhausted do
       continue_ := false;
       let snapshot = Transact.snapshot_block block in
@@ -281,13 +278,9 @@ let run_unprotected ?trace ~(config : Config.t) (f : Func.t) : report =
       let result =
         Transact.protect ~snapshot ~pass:(fun () -> !cur_pass) (fun () ->
             Budget.spend_step meter;
-            (* one arena snapshot per attempt: seeds, graph build, cost and
-               codegen all read the block in this same frozen state *)
-            let arena = Arena.of_block block in
-            live_arena := Some arena;
             let seeds =
               traced_span ?trace probe "seed-collect" (fun () ->
-                  Seeds.collect ~arena ~probe ?trace config block)
+                  Seeds.collect ~probe ?trace config analysis)
             in
             let fresh =
               List.filter
@@ -326,20 +319,15 @@ let run_unprotected ?trace ~(config : Config.t) (f : Func.t) : report =
                   Some (fun n -> notes := n :: !notes)
                 else None
               in
-              let graph, root, deps =
+              let graph, root =
                 traced_span ?trace probe "graph-build" (fun () ->
-                    let deps = Lslp_analysis.Depgraph.build_arena arena in
-                    let g, r =
-                      Graph_builder.build ?note ~meter ~probe ?trace
-                        ~ids:graph_ids ~deps config block seed
-                    in
-                    (g, r, deps))
+                    Graph_builder.build ?note ~meter ~probe ?trace
+                      ~ids:graph_ids config analysis seed)
               in
               cur_pass := "cost";
               let cost =
                 traced_span ?trace probe "cost" (fun () ->
-                    Cost.evaluate ~uses:(Use_info.of_arena arena) config
-                      graph block)
+                    Cost.evaluate config graph analysis)
               in
               Option.iter
                 (fun tr ->
@@ -359,11 +347,10 @@ let run_unprotected ?trace ~(config : Config.t) (f : Func.t) : report =
                   Config.boundary config Inject.Codegen;
                   match
                     traced_span ?trace probe "codegen" (fun () ->
-                        Codegen.run ?record:record_opt ~probe ?trace ~deps
-                          graph block)
+                        Codegen.run ?record:record_opt ~probe ?trace graph
+                          analysis)
                   with
                   | Codegen.Vectorized ->
-                    live_arena := None;
                     if Inject.corrupts inject then
                       ignore (Inject.corrupt_block block);
                     cur_pass := "verify";
@@ -435,6 +422,8 @@ let run_unprotected ?trace ~(config : Config.t) (f : Func.t) : report =
             notes = [];
           }
       in
+      (* last reader of [analysis]: a rollback here may undo a committed
+         reduction, leaving it stale *)
       let snapshot = Transact.snapshot_block block in
       let saved_provenance = !provenance in
       let result =
@@ -442,7 +431,7 @@ let run_unprotected ?trace ~(config : Config.t) (f : Func.t) : report =
             let rs =
               traced_span ?trace probe "reduction" (fun () ->
                   Reduction.run ~config ~meter ~probe ?trace ~ids:graph_ids
-                    ?record:record_opt ~on_skipped ?arena:!live_arena block)
+                    ?record:record_opt ~on_skipped analysis)
             in
             (* the block is only mutated when a reduction vectorized
                (rejected/unschedulable candidates emit nothing, and a

@@ -24,23 +24,21 @@ type candidate = {
 (* Chain roots: commutative+associative ops that are not themselves
    absorbed into a parent chain of the same opcode (multi-use values are
    roots of their own chains; their parents treat them as leaves). *)
-let collect_candidates ?uses (block : Block.t) : candidate list =
-  let uses =
-    match uses with Some u -> u | None -> Use_info.compute block
-  in
+let collect_candidates (analysis : Block_analysis.t) : candidate list =
+  let arena = Block_analysis.arena analysis in
   let absorbable ~op (v : Instr.value) =
     match v with
     | Instr.Ins i ->
-      Instr.binop i = Some op && Use_info.has_single_use uses i
+      Instr.binop i = Some op && Use_info.has_single_use arena i
     | Instr.Const _ | Instr.Arg _ -> false
   in
   let is_root (i : Instr.t) =
     match Instr.binop i with
     | Some op when Opcode.is_commutative op && Opcode.is_associative op ->
-      let users = Use_info.users uses i in
+      let users = Use_info.users arena i in
       (* not absorbed by a same-op parent *)
       not
-        (Use_info.has_single_use uses i
+        (Use_info.has_single_use arena i
          && List.exists (fun (u : Instr.t) -> Instr.binop u = Some op) users)
     | Some _ | None -> false
   in
@@ -74,7 +72,7 @@ let collect_candidates ?uses (block : Block.t) : candidate list =
             cand_leaves = List.rev !leaves;
           }
           :: acc)
-    [] block
+    [] (Block_analysis.block analysis)
   |> List.rev
 
 (* Chunk the leaves into W-wide bundles (in order) plus a scalar tail. *)
@@ -101,8 +99,8 @@ type plan = {
    graph nodes (chunk trees and their gathers/extracts) + (chunks-1)
    element-wise vector ops + the horizontal reduce + tail scalar ops,
    minus the removed scalar chain ops. *)
-let plan_candidate ?meter ?probe ?trace ?ids ?deps ~desc
-    (config : Config.t) (block : Block.t) (c : candidate) : plan option =
+let plan_candidate ?meter ?probe ?trace ?ids ~desc (config : Config.t)
+    (analysis : Block_analysis.t) (c : candidate) : plan option =
   let model = config.Config.model in
   let elt =
     match Types.scalar_of c.cand_root.Instr.ty with
@@ -114,19 +112,14 @@ let plan_candidate ?meter ?probe ?trace ?ids ?deps ~desc
   else begin
     let chunks, tail = chunk_leaves ~lanes c.cand_leaves in
     let graph, chunk_nodes =
-      Graph_builder.build_columns ?meter ?probe ?trace ?ids ?deps ~desc
-        config block chunks
+      Graph_builder.build_columns ?meter ?probe ?trace ?ids ~desc config
+        analysis chunks
     in
     let in_chain (u : Instr.t) =
       List.exists (fun (ci : Instr.t) -> Instr.equal ci u) c.cand_chain
     in
-    let uses =
-      Option.map
-        (fun d -> Use_info.of_arena (Lslp_analysis.Depgraph.arena d))
-        deps
-    in
     let summary =
-      Cost.evaluate ~ignore_users:in_chain ?uses config graph block
+      Cost.evaluate ~ignore_users:in_chain config graph analysis
     in
     let op_costs = model.Lslp_costmodel.Model.binop_cost c.cand_op in
     let combine_cost = (List.length chunks - 1) * op_costs.vector lanes in
@@ -165,32 +158,17 @@ type region = {
 (* Vectorize every profitable reduction in one block, in program order.
    Returns one region record per candidate considered. *)
 let run ?(config = Config.lslp) ?meter ?probe ?trace ?ids ?record
-    ?(on_skipped = fun _ -> ()) ?arena (block : Block.t) : region list =
+    ?(on_skipped = fun _ -> ()) (analysis : Block_analysis.t) : region list =
   let regions = ref [] in
   let continue_ = ref true in
   let consumed = Lslp_util.Int_table.create 16 in
-  (* one arena snapshot per block *state*: candidate collection, chunk-graph
-     build, cost and codegen all read the same frozen block, and the
-     snapshot survives across iterations until a reduction actually rewrites
-     the block (rejected or unschedulable candidates leave it untouched).
-     The caller may hand over a snapshot it already built for this state. *)
-  let cur_arena = ref arena in
   while !continue_ do
     continue_ := false;
-    let arena =
-      match !cur_arena with
-      | Some a -> a
-      | None ->
-        let a = Arena.of_block block in
-        cur_arena := Some a;
-        a
-    in
-    let uses = Use_info.of_arena arena in
     let fresh =
       List.filter
         (fun c ->
           not (Lslp_util.Int_table.mem consumed c.cand_root.Instr.id))
-        (collect_candidates ~uses block)
+        (collect_candidates analysis)
     in
     match fresh with
     | [] -> ()
@@ -203,9 +181,8 @@ let run ?(config = Config.lslp) ?meter ?probe ?trace ?ids ?record
           (Opcode.binop_name c.cand_op)
           (List.length c.cand_leaves)
       in
-      let deps = Lslp_analysis.Depgraph.build_arena arena in
       match
-        plan_candidate ?meter ?probe ?trace ?ids ~deps ~desc config block c
+        plan_candidate ?meter ?probe ?trace ?ids ~desc config analysis c
       with
       | None -> on_skipped c
       | Some plan ->
@@ -240,12 +217,9 @@ let run ?(config = Config.lslp) ?meter ?probe ?trace ?ids ?record
           Config.boundary config Lslp_robust.Inject.Reduction;
           match
             Codegen.run ~reduction:plan.reduction ?record ?probe ?trace
-              ~deps plan.graph block
+              plan.graph analysis
           with
-          | Codegen.Vectorized ->
-            ignore (Dce.run_block block);
-            cur_arena := None;
-            decided Lslp_check.Remark.Vectorized
+          | Codegen.Vectorized -> decided Lslp_check.Remark.Vectorized
           | Codegen.Not_schedulable -> decided Lslp_check.Remark.Not_schedulable
           | Codegen.Failed msg ->
             (* the block may be half-rewritten; abort the transaction the

@@ -14,10 +14,9 @@ type candidate = {
   cand_leaves : Instr.value list;
 }
 
-val collect_candidates : ?uses:Use_info.t -> Block.t -> candidate list
+val collect_candidates : Block_analysis.t -> candidate list
 (** Reduction-chain roots of one block in program order, with their
-    leaves.  [uses] shares def-use info already computed for the block;
-    a fresh arena snapshot is taken otherwise. *)
+    leaves; use counts come off the block's arena. *)
 
 type region = {
   root_desc : string;  (** ["reduce OP xLEAVES"] *)
@@ -35,15 +34,13 @@ val run :
   ?ids:Lslp_util.Id_gen.t ->
   ?record:(lanes:Instr.t array -> vector:Instr.t -> unit) ->
   ?on_skipped:(candidate -> unit) ->
-  ?arena:Arena.t ->
-  Block.t ->
+  Block_analysis.t ->
   region list
-(** Vectorize every profitable reduction, mutating the block.  [arena] hands
-    over a snapshot of the block in its *current* state (the caller
-    guarantees no mutation since [Arena.of_block]); it seeds the first
-    candidate sweep and is dropped as soon as a reduction rewrites the
-    block.  One region record
-    per candidate with at least a full chunk of leaves; [on_skipped] fires
+(** Vectorize every profitable reduction, mutating the block.  Every
+    candidate of one block state reads the same analysis: a rejected or
+    unschedulable candidate leaves it in place, and a vectorized one drops
+    it through {!Codegen.run}'s commit.  One region record per candidate
+    with at least a full chunk of leaves; [on_skipped] fires
     for candidates with too few leaves for even one chunk; [record] is
     forwarded to {!Codegen.run} for provenance; [trace] records the chunk
     graphs, the cost decision and one [Region_outcome] per candidate.

@@ -39,11 +39,9 @@ let rec windows max_lanes (run : Instr.t list) : seed list =
     Array.of_list first :: windows max_lanes rest
   end
 
-let collect ?arena ?probe ?trace (config : Config.t) (block : Block.t) :
+let collect ?probe ?trace (config : Config.t) (analysis : Block_analysis.t) :
     seed list =
-  let arena =
-    match arena with Some a -> a | None -> Arena.of_block block
-  in
+  let arena = Block_analysis.arena analysis in
   let n = Arena.size arena in
   (* single-element stores, grouped by interned base symbol: bucket ids are
      dense and issued in program order of first appearance, so iterating

@@ -10,15 +10,12 @@ val describe : seed -> string
     records, the remarks and the decision trace. *)
 
 val collect :
-  ?arena:Arena.t ->
   ?probe:Lslp_telemetry.Probe.t ->
   ?trace:Lslp_trace.Trace.t ->
   Config.t ->
-  Block.t ->
+  Block_analysis.t ->
   seed list
 (** Seeds of one region, ordered by the position of their first store.
-    Adjacency comes off the arena's address side table (int compares);
-    pass [arena] to share the snapshot the caller already built for the
-    same un-mutated block, otherwise a fresh one is taken.
+    Adjacency comes off the arena's address side table (int compares).
     [probe] counts the bundles found; [trace] records them as a
     [Seeds_found] event. *)

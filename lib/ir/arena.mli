@@ -7,8 +7,9 @@
     adjacency, aliasing) become array reads and int compares.
 
     Compact indices are per-arena coordinates; printed IR only ever shows
-    global ids ({!Lslp_util.Id_gen} space).  An arena is a snapshot: any
-    pass that mutates the block must rebuild it. *)
+    global ids ({!Lslp_util.Id_gen} space).  An arena is a snapshot of the
+    block as it was when built; the vectorizer keeps one per block state
+    ([Lslp_core.Block_analysis]) until code generation rewrites the block. *)
 
 type t
 

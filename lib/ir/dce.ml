@@ -10,8 +10,8 @@ let run_block block =
   let changed = ref true in
   while !changed do
     changed := false;
-    let uses = Use_info.compute block in
-    let dead = Block.find_all (fun i -> Use_info.is_dead uses i) block in
+    let arena = Arena.of_block block in
+    let dead = Block.find_all (fun i -> Use_info.is_dead arena i) block in
     if dead <> [] then begin
       changed := true;
       removed := !removed + List.length dead;

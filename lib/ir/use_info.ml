@@ -1,28 +1,20 @@
-(* Def-use information, as a view over a per-block arena.
+(* Def-use queries over a per-block arena.
 
    Use lists are derived data: the arena snapshots them as CSR int arrays,
    so [num_uses]/[has_single_use] are O(1) subtractions and [users] walks a
-   contiguous slice.  Passes that already hold an arena share it with
-   {!of_arena}; [compute] builds a fresh one for callers that only have the
-   block. *)
+   contiguous slice.  An instruction outside the arena has no uses. *)
 
-type t = { arena : Arena.t }
+let users arena (i : Instr.t) =
+  let k = Arena.idx arena i in
+  if k < 0 then [] else Arena.users arena k
 
-let compute block = { arena = Arena.of_block block }
-let of_arena arena = { arena }
-let arena t = t.arena
+let num_uses arena (i : Instr.t) =
+  let k = Arena.idx arena i in
+  if k < 0 then 0 else Arena.num_uses arena k
 
-let users t (i : Instr.t) =
-  let k = Arena.idx t.arena i in
-  if k < 0 then [] else Arena.users t.arena k
+let has_single_use arena i = num_uses arena i = 1
 
-let num_uses t (i : Instr.t) =
-  let k = Arena.idx t.arena i in
-  if k < 0 then 0 else Arena.num_uses t.arena k
+let is_dead arena i = (not (Instr.has_side_effect i)) && num_uses arena i = 0
 
-let has_single_use t i = num_uses t i = 1
-
-let is_dead t i = (not (Instr.has_side_effect i)) && num_uses t i = 0
-
-let users_outside t i ~inside =
-  List.filter (fun (u : Instr.t) -> not (inside u)) (users t i)
+let users_outside arena i ~inside =
+  List.filter (fun (u : Instr.t) -> not (inside u)) (users arena i)

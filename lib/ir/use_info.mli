@@ -1,33 +1,24 @@
-(** Def-use information for a block, served from a per-block {!Arena}.
+(** Def-use queries for a block, read off its {!Arena}.
 
     LSLP needs use counts in two places: the multi-node "escape" rule (an
     intermediate value used outside the chain cannot be swallowed into a
     multi-node) and the extract-cost for vectorized values with external
     scalar users.  Counts come straight off the arena's CSR table, so
-    {!num_uses}/{!has_single_use} are O(1). *)
+    {!num_uses}/{!has_single_use} are O(1).  Instructions outside the
+    arena (created after it was built) have no uses. *)
 
-type t
-
-val compute : Block.t -> t
-(** Snapshot the block into a fresh arena. *)
-
-val of_arena : Arena.t -> t
-(** Share an arena a pass already built; no recomputation. *)
-
-val arena : t -> Arena.t
-
-val users : t -> Instr.t -> Instr.t list
+val users : Arena.t -> Instr.t -> Instr.t list
 (** Users in program order (an instruction using a value twice appears
     twice). *)
 
-val num_uses : t -> Instr.t -> int
+val num_uses : Arena.t -> Instr.t -> int
 (** O(1). *)
 
-val has_single_use : t -> Instr.t -> bool
+val has_single_use : Arena.t -> Instr.t -> bool
 (** O(1). *)
 
-val is_dead : t -> Instr.t -> bool
+val is_dead : Arena.t -> Instr.t -> bool
 (** No users and no side effect. *)
 
-val users_outside : t -> Instr.t -> inside:(Instr.t -> bool) -> Instr.t list
+val users_outside : Arena.t -> Instr.t -> inside:(Instr.t -> bool) -> Instr.t list
 (** Users for which [inside] is false. *)

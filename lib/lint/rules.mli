@@ -20,8 +20,7 @@
     - R3 [raise-primitives]: [failwith], [invalid_arg], or a bare [raise]
       of a predefined exception ([Failure], [Invalid_argument],
       [Not_found], [Exit], ...) — the fail-soft pipeline's guarantees
-      rest on typed errors; subsumes the old grep-based
-      [make lint-exceptions].
+      rest on typed errors.
     - R4 [wall-clock]: [Unix.gettimeofday]/[Unix.time]/[Sys.time] — only
       the telemetry/trace modules are allowed to read the clock, and
       those sites are waived with justifications.

@@ -1,9 +1,10 @@
 (* Pipeline-side metrics: the probe feeds the registry.
 
    One {!t} per service (or per CLI invocation); {!observe} folds a
-   finished {!Report.t} into it — the nine deterministic pipeline
-   counters, a per-run total-step histogram, one step histogram per pass
-   (the 8 instrumented boundaries), and folded stacks
+   finished {!Report.t} into it — the seven deterministic pipeline
+   counters of [Probe.counter_fields], a per-run total-step histogram, one
+   step histogram per pass (the 7 probe spans of [known_passes], not the
+   fault-injection points), and folded stacks
    "root;func;block;pass steps" for flamegraph rendering.
 
    "Steps" are probe span {e call counts} at the pass boundaries — the

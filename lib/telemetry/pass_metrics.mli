@@ -1,10 +1,12 @@
 (** Pipeline-side metrics: {!Probe} reports folded into an
     {!Lslp_obs.Registry}.
 
-    {!observe} takes a finished {!Report.t} and feeds (a) the nine
-    deterministic pipeline counters as [lslp_pipeline_*_total], (b) a
+    {!observe} takes a finished {!Report.t} and feeds (a) the seven
+    deterministic pipeline counters of {!Probe.counter_fields} as
+    [lslp_pipeline_*_total], (b) a
     total-steps-per-run histogram [lslp_job_pass_steps], (c) one
-    [lslp_pass_steps{pass=...}] histogram per instrumented pass boundary,
+    [lslp_pass_steps{pass=...}] histogram per probe span of
+    {!known_passes} (7),
     and (d) folded stacks ["root;func;block;pass steps"].
 
     "Steps" are probe span call counts — the unit the service deadline

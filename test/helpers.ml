@@ -64,3 +64,7 @@ let is_wide_load (i : Instr.t) =
   match i.Instr.kind with
   | Instr.Load a -> a.Instr.access_lanes > 1
   | _ -> false
+
+(* The analysis of a single-block function's entry block, as the pipeline
+   builds it: one value shared by every pass that reads the block. *)
+let entry_analysis (f : Func.t) = Lslp_core.Block_analysis.create (Func.entry f)

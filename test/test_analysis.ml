@@ -83,7 +83,7 @@ kernel k(f64 A[], i64 i) {
   A[i+1] = z;
 }
 |} in
-        let deps = Depgraph.build (Func.entry f) in
+        let deps = Depgraph.build (Arena.of_block (Func.entry f)) in
         let insts = Block.to_list (Func.entry f) in
         let first = List.hd insts in
         let last = List.nth insts (List.length insts - 1) in
@@ -93,7 +93,7 @@ kernel k(f64 A[], i64 i) {
           (Depgraph.depends deps first ~on:last));
     tc "memory dependence: store blocks load reordering" (fun () ->
         let f = dep_function () in
-        let deps = Depgraph.build (Func.entry f) in
+        let deps = Depgraph.build (Arena.of_block (Func.entry f)) in
         let insts = Block.to_list (Func.entry f) in
         let store = List.find Instr.is_store insts in
         let second_load =
@@ -114,7 +114,7 @@ kernel k(f64 A[], i64 i) {
   A[i+1] = y;
 }
 |} in
-        let deps = Depgraph.build (Func.entry f) in
+        let deps = Depgraph.build (Arena.of_block (Func.entry f)) in
         let insts = Block.to_list (Func.entry f) in
         let x = List.nth insts 0 and y = List.nth insts 1 in
         check_bool "x,y dependent" false (Depgraph.independent deps [ x; y ]);
@@ -126,12 +126,12 @@ kernel k(f64 A[], f64 B[], f64 R[], i64 i) {
   R[i+1] = B[i] * 1.0;
 }
 |} in
-        let deps = Depgraph.build (Func.entry f) in
+        let deps = Depgraph.build (Arena.of_block (Func.entry f)) in
         let loads = Block.find_all Instr.is_load (Func.entry f) in
         check_bool "independent" true (Depgraph.independent deps loads));
     tc "schedulable_groups accepts legal bundles" (fun () ->
         let f = kernel "motivation-loads" in
-        let deps = Depgraph.build (Func.entry f) in
+        let deps = Depgraph.build (Arena.of_block (Func.entry f)) in
         let loads = Block.find_all Instr.is_load (Func.entry f) in
         let stores = Block.find_all Instr.is_store (Func.entry f) in
         check_bool "loads+stores bundled" true
@@ -147,7 +147,7 @@ kernel k(f64 A[], f64 R[], i64 i) {
   R[i+1] = y;
 }
 |} in
-        let deps = Depgraph.build (Func.entry f) in
+        let deps = Depgraph.build (Arena.of_block (Func.entry f)) in
         let loads = Block.find_all Instr.is_load (Func.entry f) in
         let stores = Block.find_all Instr.is_store (Func.entry f) in
         check_int "two loads" 2 (List.length loads);

@@ -116,7 +116,7 @@ let test_wrong_lane_count () =
 let test_mismatched_opcode () =
   let f = compile two_lane_src in
   let snap = Legality.snapshot f in
-  let deps = Lslp_analysis.Depgraph.build (Func.entry f) in
+  let deps = Lslp_analysis.Depgraph.build (Arena.of_block (Func.entry f)) in
   let add = List.hd (find_binop Opcode.Fadd f) in
   (* a load the add does not consume, so only the opcode check can fire *)
   let load =

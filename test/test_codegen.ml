@@ -118,11 +118,11 @@ kernel k(i64 A[], i64 B[], i64 i) {
     tc "dead scalar code is swept after vectorization" (fun () ->
         let f = kernel "motivation-multi" in
         ignore (Pipeline.run ~config:Config.lslp f);
-        let uses = Use_info.compute (Func.entry f) in
+        let arena = Arena.of_block (Func.entry f) in
         Block.iter
           (fun i ->
             if not (Instr.has_side_effect i) then
-              check_bool "live" true (Use_info.num_uses uses i > 0))
+              check_bool "live" true (Use_info.num_uses arena i > 0))
           (Func.entry f));
     tc "codegen output always verifies (all kernels x all configs)"
       (fun () ->
@@ -141,4 +141,54 @@ kernel k(i64 A[], i64 B[], i64 i) {
           Lslp_kernels.Catalog.all);
   ]
 
-let suite = codegen_tests
+(* The block analysis is built once per block state: every pass reads the
+   same arena until code generation commits a rewrite. *)
+let analysis_tests =
+  [
+    tc "one analysis per block state; a Vectorized commit drops it"
+      (fun () ->
+        let f = kernel "motivation-loads" in
+        let block = Func.entry f in
+        let analysis = Block_analysis.create block in
+        let before = Block_analysis.arena analysis in
+        check_bool "two reads, one arena" true
+          (before == Block_analysis.arena analysis);
+        let deps = Block_analysis.deps analysis in
+        check_bool "two reads, one dependence graph" true
+          (deps == Block_analysis.deps analysis);
+        let seed = List.hd (Seeds.collect Config.lslp analysis) in
+        let graph, _ = Graph_builder.build Config.lslp analysis seed in
+        ignore (Cost.evaluate Config.lslp graph analysis);
+        check_bool "seeds, graph and cost read the same analysis" true
+          (before == Block_analysis.arena analysis
+           && deps == Block_analysis.deps analysis);
+        let scalar = Block.to_list block in
+        (match Codegen.run graph analysis with
+         | Codegen.Vectorized -> ()
+         | Codegen.Not_schedulable | Codegen.Failed _ ->
+           Alcotest.fail "expected Vectorized");
+        let after = Block_analysis.arena analysis in
+        check_bool "the commit dropped the arena" false (after == before);
+        Block.iter
+          (fun i ->
+            check_bool (Fmt.str "%%%d is a member" i.Instr.id) true
+              (Arena.mem after i))
+          block;
+        let removed = List.filter (fun i -> not (Block.mem block i)) scalar in
+        check_bool "codegen removed the scalar chain" true (removed <> []);
+        List.iter
+          (fun (i : Instr.t) ->
+            check_bool (Fmt.str "old %%%d is not a member" i.Instr.id) false
+              (Arena.mem after i))
+          removed;
+        let deps' = Block_analysis.deps analysis in
+        check_bool "the commit dropped the dependence graph" false
+          (deps' == deps);
+        Block.iter
+          (fun i ->
+            check_bool (Fmt.str "%%%d has dependences" i.Instr.id) true
+              (Lslp_analysis.Depgraph.mem deps' i))
+          block);
+  ]
+
+let suite = codegen_tests @ analysis_tests

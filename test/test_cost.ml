@@ -8,9 +8,10 @@ open Helpers
 
 let graph_cost key config =
   let f = kernel key in
-  let seed = List.hd (Seeds.collect config (Func.entry f)) in
-  let graph, _ = Graph_builder.build config (Func.entry f) seed in
-  (Cost.evaluate config graph (Func.entry f)).Cost.total
+  let analysis = entry_analysis f in
+  let seed = List.hd (Seeds.collect config analysis) in
+  let graph, _ = Graph_builder.build config analysis seed in
+  (Cost.evaluate config graph analysis).Cost.total
 
 let paper_figures =
   [
@@ -58,15 +59,16 @@ kernel k(f64 A[], f64 R[], f64 S[], i64 i) {
   S[i+4] = x0;
 }
 |} in
+        let analysis = entry_analysis f in
         let seed =
           List.find (fun (s : Seeds.seed) ->
               match Instr.address s.(0) with
               | Some a -> String.equal a.Instr.base "R"
               | None -> false)
-            (Seeds.collect Config.lslp (Func.entry f))
+            (Seeds.collect Config.lslp analysis)
         in
-        let graph, _ = Graph_builder.build Config.lslp (Func.entry f) seed in
-        let summary = Cost.evaluate Config.lslp graph (Func.entry f) in
+        let graph, _ = Graph_builder.build Config.lslp analysis seed in
+        let summary = Cost.evaluate Config.lslp graph analysis in
         check_int "one extract" 1 summary.Cost.extract_cost);
     tc "profitable iff below threshold" (fun () ->
         let summary = { Cost.per_node = []; extract_cost = 0; total = -1 } in
@@ -78,9 +80,10 @@ kernel k(f64 A[], f64 R[], f64 S[], i64 i) {
              { summary with Cost.total = 0 }));
     tc "multi-node internal groups are each costed" (fun () ->
         let f = kernel "motivation-multi" in
-        let seed = List.hd (Seeds.collect Config.lslp (Func.entry f)) in
-        let graph, _ = Graph_builder.build Config.lslp (Func.entry f) seed in
-        let summary = Cost.evaluate Config.lslp graph (Func.entry f) in
+        let analysis = entry_analysis f in
+        let seed = List.hd (Seeds.collect Config.lslp analysis) in
+        let graph, _ = Graph_builder.build Config.lslp analysis seed in
+        let summary = Cost.evaluate Config.lslp graph analysis in
         let multi_rows =
           List.filter
             (fun (r : Cost.node_cost) ->
@@ -91,9 +94,10 @@ kernel k(f64 A[], f64 R[], f64 S[], i64 i) {
         check_int "two & rows" 2 (List.length multi_rows));
     tc "gather rows carry the aggregation cost" (fun () ->
         let f = kernel "motivation-opcodes" in
-        let seed = List.hd (Seeds.collect Config.lslp (Func.entry f)) in
-        let graph, _ = Graph_builder.build Config.lslp (Func.entry f) seed in
-        let summary = Cost.evaluate Config.lslp graph (Func.entry f) in
+        let analysis = entry_analysis f in
+        let seed = List.hd (Seeds.collect Config.lslp analysis) in
+        let graph, _ = Graph_builder.build Config.lslp analysis seed in
+        let summary = Cost.evaluate Config.lslp graph analysis in
         let gathers =
           List.filter
             (fun (r : Cost.node_cost) ->

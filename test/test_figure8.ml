@@ -32,8 +32,9 @@ kernel figure8(i64 A[], i64 B[], i64 C[], i64 D[], i64 E[], i64 i) {
 
 let build () =
   let f = compile figure8_src in
-  let seed = List.hd (Seeds.collect Config.lslp (Func.entry f)) in
-  let graph, root = Graph_builder.build Config.lslp (Func.entry f) seed in
+  let analysis = entry_analysis f in
+  let seed = List.hd (Seeds.collect Config.lslp analysis) in
+  let graph, root = Graph_builder.build Config.lslp analysis seed in
   (f, graph, root)
 
 let multi_of graph =

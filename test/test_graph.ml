@@ -6,7 +6,7 @@ open Lslp_core
 open Helpers
 
 let classify_in f bundle =
-  let deps = Depgraph.build (Func.entry f) in
+  let deps = Depgraph.build (Arena.of_block (Func.entry f)) in
   Bundle.classify ~block:(Func.entry f) ~deps ~in_graph:(fun _ -> false) bundle
 
 let bundle_tests =
@@ -88,7 +88,7 @@ kernel k(i64 A[], i64 B[], i64 i) {
         | Bundle.Rejected r -> Alcotest.failf "rejected: %s" (Bundle.reject_to_string r));
     tc "already-claimed members rejected" (fun () ->
         let f = kernel "motivation-loads" in
-        let deps = Depgraph.build (Func.entry f) in
+        let deps = Depgraph.build (Arena.of_block (Func.entry f)) in
         let loads = Block.find_all Instr.is_load (Func.entry f) in
         match
           Bundle.classify ~block:(Func.entry f) ~deps ~in_graph:(fun _ -> true)
@@ -109,7 +109,7 @@ let seeds_tests =
   [
     tc "adjacent store runs become seeds" (fun () ->
         let f = kernel "motivation-loads" in
-        let seeds = Seeds.collect Config.lslp (Func.entry f) in
+        let seeds = Seeds.collect Config.lslp (entry_analysis f) in
         check_int "one seed" 1 (List.length seeds);
         check_int "two lanes" 2 (Array.length (List.hd seeds)));
     tc "runs split into power-of-two windows, widest first" (fun () ->
@@ -118,7 +118,7 @@ kernel k(i64 A[], i64 i) {
   A[i+0] = 0; A[i+1] = 1; A[i+2] = 2; A[i+3] = 3; A[i+4] = 4; A[i+5] = 5;
 }
 |} in
-        let seeds = Seeds.collect Config.lslp (Func.entry f) in
+        let seeds = Seeds.collect Config.lslp (entry_analysis f) in
         check (Alcotest.list Alcotest.int) "window sizes" [ 4; 2 ]
           (List.map Array.length seeds));
     tc "gaps break runs" (fun () ->
@@ -127,7 +127,7 @@ kernel k(i64 A[], i64 i) {
   A[i+0] = 0; A[i+1] = 1; A[i+3] = 3; A[i+4] = 4;
 }
 |} in
-        let seeds = Seeds.collect Config.lslp (Func.entry f) in
+        let seeds = Seeds.collect Config.lslp (entry_analysis f) in
         check_int "two seeds" 2 (List.length seeds));
     tc "stores to different arrays are separate" (fun () ->
         let f = compile {|
@@ -135,11 +135,11 @@ kernel k(i64 A[], i64 B[], i64 i) {
   A[i+0] = 0; B[i+0] = 1; A[i+1] = 2; B[i+1] = 3;
 }
 |} in
-        let seeds = Seeds.collect Config.lslp (Func.entry f) in
+        let seeds = Seeds.collect Config.lslp (entry_analysis f) in
         check_int "two seeds" 2 (List.length seeds));
     tc "single store yields no seed" (fun () ->
         let f = compile "kernel k(i64 A[], i64 i) { A[i] = 1; }" in
-        check_int "none" 0 (List.length (Seeds.collect Config.lslp (Func.entry f))));
+        check_int "none" 0 (List.length (Seeds.collect Config.lslp (entry_analysis f))));
     tc "narrow target caps the window" (fun () ->
         let f = compile {|
 kernel k(i64 A[], i64 i) {
@@ -147,7 +147,7 @@ kernel k(i64 A[], i64 i) {
 }
 |} in
         let config = Config.with_model Lslp_costmodel.Model.sse_like Config.lslp in
-        let seeds = Seeds.collect config (Func.entry f) in
+        let seeds = Seeds.collect config (entry_analysis f) in
         check (Alcotest.list Alcotest.int) "2-wide windows" [ 2; 2 ]
           (List.map Array.length seeds));
     tc "max_lanes override caps below target" (fun () ->
@@ -157,8 +157,9 @@ kernel k(i64 A[], i64 i) {
 
 let build_graph key config =
   let f = kernel key in
-  let seed = List.hd (Seeds.collect config (Func.entry f)) in
-  Graph_builder.build config (Func.entry f) seed
+  let analysis = entry_analysis f in
+  let seed = List.hd (Seeds.collect config analysis) in
+  Graph_builder.build config analysis seed
 
 let multinode_tests =
   [
@@ -213,12 +214,13 @@ kernel k(i64 A[], i64 B[], i64 R[], i64 i) {
   B[i+8] = t0;
 }
 |} in
+        let analysis = entry_analysis f in
         let seed =
           List.find
             (fun (s : Seeds.seed) -> Array.length s = 2)
-            (Seeds.collect Config.lslp (Func.entry f))
+            (Seeds.collect Config.lslp analysis)
         in
-        let graph, _ = Graph_builder.build Config.lslp (Func.entry f) seed in
+        let graph, _ = Graph_builder.build Config.lslp analysis seed in
         let multis =
           List.filter_map
             (fun (n : Graph.node) ->
@@ -237,8 +239,9 @@ kernel k(f64 A[], f64 B[], i64 i) {
   A[i+1] = B[i+1] - 1.0;
 }
 |} in
-        let seed = List.hd (Seeds.collect Config.lslp (Func.entry f)) in
-        let graph, _ = Graph_builder.build Config.lslp (Func.entry f) seed in
+        let analysis = entry_analysis f in
+        let seed = List.hd (Seeds.collect Config.lslp analysis) in
+        let graph, _ = Graph_builder.build Config.lslp analysis seed in
         check_bool "no multi" true
           (List.for_all
              (fun (n : Graph.node) ->
@@ -252,8 +255,9 @@ kernel k(f64 A[], f64 B[], f64 R[], i64 i) {
   R[i+1] = A[i+1] + B[i+0];
 }
 |} in
-        let seed = List.hd (Seeds.collect Config.lslp (Func.entry f)) in
-        let graph, _ = Graph_builder.build Config.lslp (Func.entry f) seed in
+        let analysis = entry_analysis f in
+        let seed = List.hd (Seeds.collect Config.lslp analysis) in
+        let graph, _ = Graph_builder.build Config.lslp analysis seed in
         let m =
           List.find_map
             (fun (n : Graph.node) ->
@@ -270,8 +274,9 @@ kernel k(f64 A[], f64 R[], i64 i) {
   R[i+1] = A[i+1] * A[i+1];
 }
 |} in
-        let seed = List.hd (Seeds.collect Config.lslp (Func.entry f)) in
-        let graph, _ = Graph_builder.build Config.lslp (Func.entry f) seed in
+        let analysis = entry_analysis f in
+        let seed = List.hd (Seeds.collect Config.lslp analysis) in
+        let graph, _ = Graph_builder.build Config.lslp analysis seed in
         let loads =
           List.filter
             (fun (n : Graph.node) ->

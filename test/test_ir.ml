@@ -267,10 +267,10 @@ kernel k(f64 A[], f64 R[], i64 i) {
   R[i+1] = x + 1.0;
 }
 |} in
-        let uses = Use_info.compute (Func.entry f) in
+        let arena = Arena.of_block (Func.entry f) in
         let load = List.hd (Block.find_all Instr.is_load (Func.entry f)) in
-        check_int "x used 3 times" 3 (Use_info.num_uses uses load);
-        check_bool "not single use" false (Use_info.has_single_use uses load));
+        check_int "x used 3 times" 3 (Use_info.num_uses arena load);
+        check_bool "not single use" false (Use_info.has_single_use arena load));
     tc "users_outside filters" (fun () ->
         let f = compile {|
 kernel k(f64 A[], f64 R[], i64 i) {
@@ -278,12 +278,12 @@ kernel k(f64 A[], f64 R[], i64 i) {
   R[i+0] = x * 2.0;
 }
 |} in
-        let uses = Use_info.compute (Func.entry f) in
+        let arena = Arena.of_block (Func.entry f) in
         let load = List.hd (Block.find_all Instr.is_load (Func.entry f)) in
         check_int "all outside" 1
-          (List.length (Use_info.users_outside uses load ~inside:(fun _ -> false)));
+          (List.length (Use_info.users_outside arena load ~inside:(fun _ -> false)));
         check_int "none outside" 0
-          (List.length (Use_info.users_outside uses load ~inside:(fun _ -> true))));
+          (List.length (Use_info.users_outside arena load ~inside:(fun _ -> true))));
   ]
 
 let clone_tests =

@@ -24,7 +24,7 @@ let detection_tests =
   [
     tc "dot-product chain is detected" (fun () ->
         let f = compile dot_src in
-        match Reduction.collect_candidates (Func.entry f) with
+        match Reduction.collect_candidates (entry_analysis f) with
         | [ c ] ->
           check_bool "fadd" true (c.Reduction.cand_op = Opcode.Fadd);
           check_int "3 chain ops" 3 (List.length c.Reduction.cand_chain);
@@ -35,7 +35,7 @@ let detection_tests =
 kernel k(f64 S[], f64 A[], i64 i) { S[i] = A[i] + A[i+1]; }
 |} in
         check_int "no candidates" 0
-          (List.length (Reduction.collect_candidates (Func.entry f))));
+          (List.length (Reduction.collect_candidates (entry_analysis f))));
     tc "escaping intermediates stop the chain" (fun () ->
         let f = compile {|
 kernel k(f64 S[], f64 A[], i64 i) {
@@ -44,7 +44,7 @@ kernel k(f64 S[], f64 A[], i64 i) {
   S[i+4] = t;
 }
 |} in
-        match Reduction.collect_candidates (Func.entry f) with
+        match Reduction.collect_candidates (entry_analysis f) with
         | [ c ] ->
           (* t is multi-use: it is a leaf of the big chain, not absorbed *)
           check_int "leaves" 4 (List.length c.Reduction.cand_leaves)
@@ -55,7 +55,7 @@ kernel k(f64 S[], f64 A[], i64 i) {
   S[i] = A[i+0] - A[i+1] - A[i+2] - A[i+3] - A[i+4];
 }
 |} in
-        check_int "none" 0 (List.length (Reduction.collect_candidates (Func.entry f))));
+        check_int "none" 0 (List.length (Reduction.collect_candidates (entry_analysis f))));
   ]
 
 let vectorize_tests =
@@ -63,12 +63,30 @@ let vectorize_tests =
     tc "dot product becomes wide mul + reduce" (fun () ->
         let f = compile dot_src in
         let reference = Func.clone f in
-        let regions = Reduction.run ~config:Config.lslp (Func.entry f) in
+        let regions = Reduction.run ~config:Config.lslp (entry_analysis f) in
         check_int "one region" 1 (List.length regions);
         check_bool "vectorized" true
           ((List.hd regions).Reduction.outcome = Lslp_check.Remark.Vectorized);
         check_int "one reduce" 1 (count_kind is_reduce f);
         check_int "two wide loads" 2 (count_insts is_wide_load f);
+        assert_sound ~reference ~candidate:f ());
+    tc "a rejected candidate keeps the analysis for the next one" (fun () ->
+        (* the first chain gathers four unrelated loads (unprofitable), the
+           second is a dot product; both read one block state *)
+        let f = compile {|
+kernel k(f64 S[], f64 A[], f64 B[], f64 C[], f64 D[], f64 E[], f64 F[],
+         i64 i) {
+  S[i] = C[i] + D[i+3] + E[i+7] + F[i+1];
+  S[i+8] = A[i+0] * B[i+0] + A[i+1] * B[i+1]
+         + (A[i+2] * B[i+2] + A[i+3] * B[i+3]);
+}
+|} in
+        let reference = Func.clone f in
+        let regions = Reduction.run ~config:Config.lslp (entry_analysis f) in
+        check_bool "rejected, then vectorized" true
+          (List.map (fun (r : Reduction.region) -> r.Reduction.outcome) regions
+           = Lslp_check.Remark.[ Unprofitable; Vectorized ]);
+        check_int "one reduce" 1 (count_kind is_reduce f);
         assert_sound ~reference ~candidate:f ());
     tc "leftover leaves fold as a scalar tail" (fun () ->
         let f = compile {|
@@ -78,7 +96,7 @@ kernel k(f64 S[], f64 A[], f64 B[], i64 i) {
 }
 |} in
         let reference = Func.clone f in
-        ignore (Reduction.run ~config:Config.lslp (Func.entry f));
+        ignore (Reduction.run ~config:Config.lslp (entry_analysis f));
         check_int "one reduce" 1 (count_kind is_reduce f);
         (* the +2.5 survives as a scalar fadd after the reduce *)
         check_bool "scalar tail" true
@@ -97,7 +115,7 @@ kernel k(f64 S[], f64 A[], i64 i) {
 }
 |} in
         let reference = Func.clone f in
-        ignore (Reduction.run ~config:Config.lslp (Func.entry f));
+        ignore (Reduction.run ~config:Config.lslp (entry_analysis f));
         check_int "one reduce" 1 (count_kind is_reduce f);
         check_bool "wide fadd combine" true
           (count_insts
@@ -110,7 +128,7 @@ kernel k(f64 S[], f64 A[], i64 i) {
         let f = compile {|
 kernel k(f64 S[], f64 A[], i64 i) { S[i] = A[i+0] + A[i+1] + A[i+2]; }
 |} in
-        let regions = Reduction.run ~config:Config.lslp (Func.entry f) in
+        let regions = Reduction.run ~config:Config.lslp (entry_analysis f) in
         check_int "nothing" 0 (List.length regions);
         check_int "no reduce" 0 (count_kind is_reduce f));
     tc "gathered (non-consecutive) leaves can still pay off" (fun () ->
@@ -121,7 +139,7 @@ kernel k(f64 S[], f64 A[], f64 B[], i64 i) {
 }
 |} in
         let reference = Func.clone f in
-        ignore (Reduction.run ~config:Config.lslp (Func.entry f));
+        ignore (Reduction.run ~config:Config.lslp (entry_analysis f));
         assert_sound ~reference ~candidate:f ());
     tc "reduction root with a scalar store user is rewired" (fun () ->
         let f = compile {|
@@ -132,7 +150,7 @@ kernel k(f64 S[], f64 T[], f64 A[], i64 i) {
 }
 |} in
         let reference = Func.clone f in
-        let regions = Reduction.run ~config:Config.lslp (Func.entry f) in
+        let regions = Reduction.run ~config:Config.lslp (entry_analysis f) in
         check_bool "vectorized" true
           (List.exists
              (fun r -> r.Reduction.outcome = Lslp_check.Remark.Vectorized)
@@ -157,7 +175,7 @@ kernel k(i64 S[], i64 A[], i64 i) {
 }
 |} in
         let reference = Func.clone f in
-        ignore (Reduction.run ~config:Config.lslp (Func.entry f));
+        ignore (Reduction.run ~config:Config.lslp (entry_analysis f));
         check_int "one reduce" 1 (count_kind is_reduce f);
         assert_sound ~reference ~candidate:f ());
   ]
@@ -262,7 +280,7 @@ kernel k(f64 S[], f64 A[], i64 i) {
   S[i] = A[i+0] + A[i+1] + A[i+2] + A[i+3];
 }
 |} in
-        ignore (Reduction.run ~config:Config.lslp (Func.entry f));
+        ignore (Reduction.run ~config:Config.lslp (entry_analysis f));
         let mem = Lslp_interp.Memory.create () in
         Lslp_interp.Memory.set_float mem "A" [| 1.0; 2.0; 3.0; 4.0 |];
         Lslp_interp.Memory.set_float mem "S" [| 0.0 |];

@@ -168,7 +168,7 @@ let suite =
         Builder.store b ~base:"S" (Affine.sym "i") sum;
         let f = Builder.func b in
         let reference = Func.clone f in
-        let regions = Reduction.run ~config:Config.lslp (Func.entry f) in
+        let regions = Reduction.run ~config:Config.lslp (entry_analysis f) in
         check_bool "vectorized" true
           (List.exists
              (fun r -> r.Reduction.outcome = Lslp_check.Remark.Vectorized)
