@@ -74,8 +74,9 @@ domain-smoke:
 # complete, every undamaged job must match, and the run must record
 # EXACTLY two degradations — the crashed job's typed failure and the
 # poisoned entry's verified eviction (exit 1 on any other count).  The
-# sharded fuzz then proves 4-domain fuzzing is case-by-case identical to
-# sequential, and the waiver audit covers the new lib/service code.
+# sharded fuzz runs, classic and cond arm, then prove 4-domain fuzzing is
+# case-by-case identical to sequential, and the waiver audit covers the
+# lib/service code.
 serve-smoke:
 	dune exec bin/lslpc.exe -- batch --jobs 4 --repeat 2 \
 	  --inject worker-raise@3 --inject cache-poison@30 \
@@ -85,6 +86,8 @@ serve-smoke:
 	dune exec bin/lslpc.exe -- batch --jobs 8 \
 	  --inject queue-full@7 --expect-degradations 1
 	dune exec bin/lslpc.exe -- fuzz --cases 120 --seed 42 --jobs 4
+	dune exec bin/lslpc.exe -- fuzz --cases 120 --seed 42 --config cond \
+	  --jobs 4
 	dune exec bin/lint.exe -- --check-waivers lib bin
 
 # Refresh the committed lint bench entry (files scanned, findings by

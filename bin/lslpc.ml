@@ -262,14 +262,31 @@ let compile_cmd =
           let seeds = Lslp_core.Seeds.collect config analysis in
           List.iteri
             (fun k seed ->
-              let graph, _ =
-                Lslp_core.Graph_builder.build config analysis seed
+              (* under the pipeline's own wrapper, so an armed injector
+                 prints a typed failure in this seed's place *)
+              let pass = ref "graph-build" in
+              let built =
+                Lslp_robust.Transact.protect
+                  ~snapshot:(Lslp_robust.Transact.snapshot_block block)
+                  ~pass:(fun () -> !pass)
+                  (fun () ->
+                    let graph, _ =
+                      Lslp_core.Graph_builder.build config analysis seed
+                    in
+                    pass := "cost";
+                    (graph, Lslp_core.Cost.evaluate config graph analysis))
               in
-              let cost = Lslp_core.Cost.evaluate config graph analysis in
-              Fmt.pr "=== %s graph for seed %d of [%s] ===@.%a@.%a@.@."
+              Fmt.pr "=== %s graph for seed %d of [%s] ===@.%a@.@."
                 config.name k
                 (Lslp_ir.Block.label block)
-                Lslp_core.Graph.pp graph Lslp_core.Cost.pp_summary cost)
+                (fun ppf -> function
+                  | Ok (graph, cost) ->
+                    Fmt.pf ppf "%a@.%a" Lslp_core.Graph.pp graph
+                      Lslp_core.Cost.pp_summary cost
+                  | Error failure ->
+                    Fmt.pf ppf "degraded: %a" Lslp_robust.Transact.pp_failure
+                      failure)
+                built)
             seeds)
         (Lslp_ir.Func.blocks f);
     let report, g = Lslp_core.Pipeline.run_cloned ~config f in
@@ -534,78 +551,54 @@ let stats_cmd =
 let fuzz_cmd =
   let run cases seed config inject jobs json =
     handle_errors @@ fun () ->
-    if jobs > 1 && config <> Some "cond" then begin
-      (* sharded on the service pool: every case derives from (seed, case)
-         alone, then the whole run is replayed sequentially and compared
-         case by case — sharding must be observationally invisible *)
-      let forced =
-        match config with
-        | None -> None
-        | Some s -> (
-          match config_of_string s with
-          | Ok c -> Some c
-          | Error e -> failwith e)
-      in
-      let pool =
-        { Lslp_service.Pool.default_config with domains = jobs;
-          queue_cap = max 1 (jobs * 4) }
-      in
-      let outcomes =
-        Lslp_service.Shard.run ?config:forced ?inject_spec:inject ~pool
-          ~cases ~seed ()
-      in
-      let totals = Lslp_service.Shard.summarize outcomes in
-      let mismatches =
-        Lslp_service.Shard.check_against_sequential ?config:forced
-          ?inject_spec:inject ~seed outcomes
-      in
-      Fmt.pr "fuzz: %d case(s): %d failure(s)@." totals.Lslp_service.Shard.cases
-        (List.length totals.Lslp_service.Shard.failures);
-      List.iter
-        (fun (case, summary) -> Fmt.pr "case %d: %s@." case summary)
-        totals.Lslp_service.Shard.failures;
-      (match mismatches with
-       | [] -> Fmt.pr "sharded determinism (%d domain(s)): OK@." jobs
-       | ms ->
-         List.iter
-           (fun (m : Lslp_service.Shard.mismatch) ->
-             Fmt.epr
-               "case %d: sharded and sequential runs disagree@.  sharded:    \
-                %s@.  sequential: %s@."
-               m.case m.sharded m.sequential)
-           ms;
-         Fmt.epr "sharded determinism: FAILED (%d mismatch(es))@."
-           (List.length ms));
-      Fmt.epr
-        "%d region(s) vectorized, %d degraded, %d/%d case(s) with faults, \
-         %d pool failure(s)@."
-        totals.Lslp_service.Shard.vectorized totals.Lslp_service.Shard.degraded
-        totals.Lslp_service.Shard.injected_runs totals.Lslp_service.Shard.cases
-        totals.Lslp_service.Shard.pool_failures;
-      if totals.Lslp_service.Shard.failures <> [] || mismatches <> [] then
-        exit 1
-    end
-    else begin
-      let stats =
-        match config with
-        | Some "cond" ->
-          (* the branching arm: only masked-IR programs (guarded stores,
-             selects, masked loads), configs still drawn from the pool *)
-          Lslp_fuzz.Fuzz.run ~cases ~seed ~cond:true ?inject_spec:inject ()
-        | Some s -> (
-          match config_of_string s with
-          | Ok c -> Lslp_fuzz.Fuzz.run ~cases ~seed ~config:c
-                      ?inject_spec:inject ()
-          | Error e -> failwith e)
-        | None -> Lslp_fuzz.Fuzz.run ~cases ~seed ?inject_spec:inject ()
-      in
-      (* summary on stdout is stable per seed; the RNG-dependent counters go
-         to stderr so cram tests can pin the former *)
-      if json then Fmt.pr "%s@." (Lslp_fuzz.Fuzz.to_json stats)
-      else Fmt.pr "%a@." Lslp_fuzz.Fuzz.pp_summary stats;
-      Fmt.epr "%a@." Lslp_fuzz.Fuzz.pp_detail stats;
-      if not (Lslp_fuzz.Fuzz.ok stats) then exit 1
-    end
+    (* [cond] is the branching arm: only masked-IR programs (guarded
+       stores, selects, masked loads), configs still drawn from the pool *)
+    let cond = config = Some "cond" in
+    let config =
+      match config with
+      | None | Some "cond" -> None
+      | Some s -> (
+        match config_of_string s with Ok c -> Some c | Error e -> failwith e)
+    in
+    let stats, mismatches =
+      if jobs <= 1 then
+        (Lslp_fuzz.Fuzz.run ~cases ~seed ~cond ?config ?inject_spec:inject (),
+         [])
+      else begin
+        (* sharded on the service pool, then every case is replayed in this
+           domain and compared: sharding must be observationally invisible *)
+        let pool =
+          { Lslp_service.Pool.default_config with domains = jobs;
+            queue_cap = max 1 (jobs * 4) }
+        in
+        let outcomes =
+          Lslp_service.Shard.run ~cond ?config ?inject_spec:inject ~pool
+            ~cases ~seed ()
+        in
+        ( Lslp_fuzz.Fuzz.summarize outcomes,
+          Lslp_service.Shard.check_against_sequential ~cond ?config
+            ?inject_spec:inject ~seed outcomes )
+      end
+    in
+    (* stdout is a pure function of (cases, seed, config, inject); the
+       PRNG-dependent counters and the sharding verdict go to stderr *)
+    if json then Fmt.pr "%s@." (Lslp_fuzz.Fuzz.to_json stats)
+    else Fmt.pr "%a@." Lslp_fuzz.Fuzz.pp_summary stats;
+    Fmt.epr "%a@." Lslp_fuzz.Fuzz.pp_detail stats;
+    List.iter
+      (fun (m : Lslp_service.Shard.mismatch) ->
+        Fmt.epr
+          "case %d: sharded and sequential runs disagree@.  \
+           @[<v>sharded:    %a@,sequential: %a@]@."
+          m.case Lslp_fuzz.Fuzz.pp_outcome m.sharded
+          Lslp_fuzz.Fuzz.pp_outcome m.sequential)
+      mismatches;
+    if jobs > 1 then
+      Fmt.epr "sharded determinism (%d domain(s)): %s@." jobs
+        (match mismatches with
+         | [] -> "OK"
+         | ms -> Fmt.str "FAILED (%d mismatch(es))" (List.length ms));
+    if not (Lslp_fuzz.Fuzz.ok stats) || mismatches <> [] then exit 1
   in
   let json =
     Arg.(value & flag
@@ -636,8 +629,7 @@ let fuzz_cmd =
          & info [ "j"; "jobs" ] ~docv:"N"
              ~doc:"Shard the cases across N pool domains; the run is then \
                    replayed sequentially and compared case by case \
-                   (sharding must be observationally invisible).  1 keeps \
-                   the classic single-stream derivation.")
+                   (sharding must be observationally invisible).")
   in
   Cmd.v
     (Cmd.info "fuzz"

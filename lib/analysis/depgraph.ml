@@ -140,25 +140,3 @@ let schedulable_groups t groups =
   in
   let rec all_ok i = i >= n || (acyclic_from group_of.(i) && all_ok (i + 1)) in
   all_ok 0
-
-(* Stable topological order: keep original relative order wherever the
-   dependence graph allows it.  Used to restore def-before-use after code
-   generation appends vector instructions at arbitrary points. *)
-let topo_order block =
-  let t = build (Arena.of_block block) in
-  let n = t.n in
-  let emitted = Array.make (max n 1) false in
-  let order = ref [] in
-  let rec emit i =
-    if not emitted.(i) then begin
-      emitted.(i) <- true;
-      List.iter emit (List.sort Int.compare t.preds.(i));
-      order := Arena.instr t.arena i :: !order
-    end
-  in
-  for i = 0 to n - 1 do
-    emit i
-  done;
-  List.rev !order
-
-let reschedule block = Block.set_order block (topo_order block)

@@ -1,8 +1,8 @@
 (** Dependence graph of a basic block (data + memory dependences).
 
     Any topological order of this graph preserves straight-line semantics;
-    that fact underlies both the bundle-schedulability check (contract groups,
-    test acyclicity) and post-vectorization rescheduling.
+    that fact underlies the bundle-schedulability check (contract groups,
+    test acyclicity).
 
     The vectorizer builds one per block state ([Lslp_core.Block_analysis])
     and drops it when code generation rewrites the block; the legality
@@ -36,10 +36,3 @@ val independent : t -> Instr.t list -> bool
 val schedulable_groups : t -> Instr.t list list -> bool
 (** Whole-graph check: contracting each group to one node leaves the
     dependence graph acyclic. *)
-
-val topo_order : Block.t -> Instr.t list
-(** Stable topological order: original order preserved wherever dependences
-    allow. *)
-
-val reschedule : Block.t -> unit
-(** Reorder the block into {!topo_order}. *)

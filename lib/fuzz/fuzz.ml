@@ -10,26 +10,29 @@
      reassociation);
    - with validation on and no faults armed, produces zero diagnostics.
 
-   Everything is derived from one root seed: program generation, the
-   per-case configuration draw and the per-case injector are all seeded
-   deterministically, so a failing case reproduces from [--seed] + its
-   case number alone. *)
+   Case k is a pure function of (seed, k): its program, configuration
+   draw, validate flag and injector all come from one PRNG seeded by the
+   pair, so a failing case reproduces from [--seed] and its case number
+   alone, and a run sharded over domains ([Lslp_service.Shard]) sees the
+   same outcomes as the sequential fold in {!run}. *)
 
 open Lslp_ir
 open Lslp_core
 module Inject = Lslp_robust.Inject
 
-type failure = {
+type outcome = {
   case : int;
-  desc : string;          (* the generated program, printable *)
+  desc : string;             (* the generated program, printable *)
   config_name : string;
-  injected : string option;
-  problem : string;
+  injected : string option;  (* the armed injector, printed *)
+  vectorized : int;
+  degraded : int;
+  problem : string option;   (* None: every property held *)
 }
 
 type stats = {
   cases : int;
-  failures : failure list;
+  failures : outcome list;
   vectorized : int;       (* regions vectorized across all cases *)
   degraded : int;         (* regions degraded across all cases *)
   injected_runs : int;    (* cases that ran with an armed injector *)
@@ -41,15 +44,46 @@ let config_pool =
 
 let unroll_factor = 4
 
-(* One case: generate, clone, unroll the candidate, run the pipeline under
-   the drawn config, then check the three properties.  Returns the report's
-   (vectorized, degraded) counts on success. *)
-let run_case ~st ~cond ~inject_spec ~forced_config ~seed ~case :
-    (int * int * bool, string * string * string option) result =
+(* The three properties over one drawn case: Ok (vectorized, degraded), or
+   the first problem found. *)
+let check ~config ~injected prog =
+  match Gen.build prog with
+  | exception e ->
+    Error (Fmt.str "generator crashed: %s" (Printexc.to_string e))
+  | reference -> (
+    let candidate = Func.clone reference in
+    ignore (Lslp_frontend.Unroll.run ~factor:unroll_factor candidate);
+    match Pipeline.run ~config candidate with
+    | exception e ->
+      Error (Fmt.str "pipeline raised %s" (Printexc.to_string e))
+    | report -> (
+      match Verifier.check_func candidate with
+      | e :: _ ->
+        Error (Fmt.str "invalid IR: %s" (Verifier.error_to_string e))
+      | [] ->
+        let diag_errors =
+          Lslp_check.Diagnostic.errors report.Pipeline.diagnostics
+        in
+        if (not injected) && diag_errors <> [] then
+          Error
+            (Fmt.str "legality diagnostics: %s"
+               (Lslp_check.Diagnostic.summary diag_errors))
+        else if
+          not
+            (Lslp_interp.Oracle.equivalent ~tol:1e-6 ~reference ~candidate ())
+        then Error "oracle mismatch vs scalar reference"
+        else
+          Ok
+            (report.Pipeline.vectorized_regions,
+             report.Pipeline.degraded_regions)))
+
+(* One case: draw the program, config, validate flag and injector from the
+   case's own PRNG, unroll, run the pipeline, check. *)
+let run_case ?config ?(cond = false) ?inject_spec ~seed ~case () : outcome =
+  let st = Random.State.make [| seed; case; 0x5eed |] in
   let prog = Gen.generate ~cond_only:cond st in
-  let desc = Gen.describe prog in
   let base_config =
-    match forced_config with
+    match config with
     | Some c -> c
     | None -> config_pool.(Random.State.int st (Array.length config_pool))
   in
@@ -72,127 +106,57 @@ let run_case ~st ~cond ~inject_spec ~forced_config ~seed ~case :
     let c = Config.with_validate validate base_config in
     match inject with Some i -> Config.with_inject i c | None -> c
   in
-  let fail problem =
-    Error
-      ( desc,
-        problem,
-        Option.map (fun i -> Fmt.str "%a" Inject.pp i) inject )
+  let outcome =
+    {
+      case;
+      desc = Gen.describe prog;
+      config_name =
+        (if validate then base_config.Config.name ^ "+validate"
+         else base_config.Config.name);
+      injected = Option.map (Fmt.str "%a" Inject.pp) inject;
+      vectorized = 0;
+      degraded = 0;
+      problem = None;
+    }
   in
-  match Gen.build prog with
-  | exception e ->
-    Error (desc, Fmt.str "generator crashed: %s" (Printexc.to_string e), None)
-  | reference -> (
-    let candidate = Func.clone reference in
-    ignore (Lslp_frontend.Unroll.run ~factor:unroll_factor candidate);
-    match Pipeline.run ~config candidate with
-    | exception e ->
-      fail (Fmt.str "pipeline raised %s" (Printexc.to_string e))
-    | report -> (
-      match Verifier.check_func candidate with
-      | e :: _ ->
-        fail (Fmt.str "invalid IR: %s" (Verifier.error_to_string e))
-      | [] ->
-        let diag_errors =
-          Lslp_check.Diagnostic.errors report.Pipeline.diagnostics
-        in
-        if inject = None && diag_errors <> [] then
-          fail
-            (Fmt.str "legality diagnostics: %s"
-               (Lslp_check.Diagnostic.summary diag_errors))
-        else if
-          not
-            (Lslp_interp.Oracle.equivalent ~tol:1e-6 ~reference ~candidate ())
-        then fail "oracle mismatch vs scalar reference"
-        else
-          Ok
-            ( report.Pipeline.vectorized_regions,
-              report.Pipeline.degraded_regions,
-              inject <> None )))
+  match check ~config ~injected:(inject <> None) prog with
+  | Ok (vectorized, degraded) -> { outcome with vectorized; degraded }
+  | Error problem -> { outcome with problem = Some problem }
 
-let run ?(cases = 500) ?(seed = 42) ?(cond = false) ?config ?inject_spec () :
-    stats =
-  let st = Random.State.make [| seed |] in
-  let failures = ref [] in
-  let vectorized = ref 0 in
-  let degraded = ref 0 in
-  let injected_runs = ref 0 in
-  for case = 0 to cases - 1 do
-    match
-      run_case ~st ~cond ~inject_spec ~forced_config:config ~seed ~case
-    with
-    | Ok (v, d, injected) ->
-      vectorized := !vectorized + v;
-      degraded := !degraded + d;
-      if injected then incr injected_runs
-    | Error (desc, problem, injected) ->
-      failures :=
-        {
-          case;
-          desc;
-          config_name = "(case config)";
-          injected;
-          problem;
-        }
-        :: !failures
-  done;
-  {
-    cases;
-    failures = List.rev !failures;
-    vectorized = !vectorized;
-    degraded = !degraded;
-    injected_runs = !injected_runs;
-  }
-
-(* One case under the *indexed* derivation: the whole case — program,
-   config draw, validate flag, injector — comes from a per-case PRNG
-   seeded by (root seed, case), not from one stream threaded across
-   cases.  That makes case k a pure function of (seed, k) alone, so a
-   Domain-pool can run cases in any order or interleaving and a
-   sequential rerun must reproduce every outcome verbatim — the
-   determinism assertion behind `lslpc fuzz --jobs N`. *)
-type case_outcome = {
-  case : int;
-  ok : bool;
-  summary : string;  (* stable per (seed, case): counts or the problem *)
-  c_vectorized : int;
-  c_degraded : int;
-  c_injected : bool;
-}
-
-let run_case_indexed ?config ?(cond = false) ?inject_spec ~seed ~case () :
-    case_outcome =
-  let st = Random.State.make [| seed; case; 0x5eed |] in
-  match
-    run_case ~st ~cond ~inject_spec ~forced_config:config ~seed ~case
-  with
-  | Ok (v, d, injected) ->
+let summarize (outcomes : outcome array) : stats =
+  let add (s : stats) (o : outcome) =
     {
-      case;
-      ok = true;
-      summary = Fmt.str "ok v=%d d=%d inj=%b" v d injected;
-      c_vectorized = v;
-      c_degraded = d;
-      c_injected = injected;
+      s with
+      failures = (if o.problem = None then s.failures else o :: s.failures);
+      vectorized = s.vectorized + o.vectorized;
+      degraded = s.degraded + o.degraded;
+      injected_runs = (s.injected_runs + if o.injected = None then 0 else 1);
     }
-  | Error (desc, problem, injected) ->
-    {
-      case;
-      ok = false;
-      summary =
-        Fmt.str "FAIL %s%s [%s]" problem
-          (match injected with Some i -> Fmt.str " inj=%s" i | None -> "")
-          desc;
-      c_vectorized = 0;
-      c_degraded = 0;
-      c_injected = injected <> None;
-    }
+  in
+  let s =
+    Array.fold_left add
+      { cases = Array.length outcomes; failures = []; vectorized = 0;
+        degraded = 0; injected_runs = 0 }
+      outcomes
+  in
+  { s with failures = List.rev s.failures }
 
-let pp_failure ppf (f : failure) =
-  Fmt.pf ppf "case %d: %s@,  program: %s%a" f.case f.problem f.desc
+let run ?(cases = 500) ?(seed = 42) ?cond ?config ?inject_spec () : stats =
+  summarize
+    (Array.init cases (fun case ->
+         run_case ?config ?cond ?inject_spec ~seed ~case ()))
+
+let pp_outcome ppf (o : outcome) =
+  Fmt.pf ppf "@[<v 2>case %d: %a@,program: %s@,config: %s%a@]" o.case
     (fun ppf -> function
-      | Some i -> Fmt.pf ppf "@,  injected: %s" i
+      | Some problem -> Fmt.string ppf problem
+      | None ->
+        Fmt.pf ppf "ok, %d vectorized, %d degraded" o.vectorized o.degraded)
+    o.problem o.desc o.config_name
+    (fun ppf -> function
+      | Some i -> Fmt.pf ppf "@,injected: %s" i
       | None -> ())
-    f.injected
+    o.injected
 
 (* Stable summary on stdout (safe to pin in cram tests across OCaml
    versions); RNG-dependent counters go through {!pp_detail}, which the CLI
@@ -200,7 +164,7 @@ let pp_failure ppf (f : failure) =
 let pp_summary ppf s =
   Fmt.pf ppf "@[<v>fuzz: %d case(s): %d failure(s)" s.cases
     (List.length s.failures);
-  List.iter (fun f -> Fmt.pf ppf "@,%a" pp_failure f) s.failures;
+  List.iter (fun o -> Fmt.pf ppf "@,%a" pp_outcome o) s.failures;
   Fmt.pf ppf "@]"
 
 let pp_detail ppf s =
@@ -210,15 +174,15 @@ let pp_detail ppf s =
 (* Machine form, shared emitter (same style as remarks and telemetry). *)
 module Json = Lslp_util.Json
 
-let failure_json (f : failure) =
+let failure_json (o : outcome) =
   Json.Obj
     [
-      ("case", Json.Int f.case);
-      ("problem", Json.Str f.problem);
-      ("program", Json.Str f.desc);
-      ("config", Json.Str f.config_name);
+      ("case", Json.Int o.case);
+      ("problem", Json.Str (Option.value o.problem ~default:""));
+      ("program", Json.Str o.desc);
+      ("config", Json.Str o.config_name);
       ( "injected",
-        match f.injected with Some i -> Json.Str i | None -> Json.Null );
+        match o.injected with Some i -> Json.Str i | None -> Json.Null );
     ]
 
 let json s =

@@ -2,24 +2,52 @@
 
     Property: for any generated program, any configuration, with or without
     injected faults, {!Lslp_core.Pipeline.run} never raises, leaves valid
-    IR, and preserves behaviour against the scalar oracle.  Fully
-    deterministic per root seed. *)
+    IR, and preserves behaviour against the scalar oracle.
 
-type failure = {
+    Case [k] is a pure function of [(seed, k)]: program, configuration
+    draw, validate flag and injector come from one PRNG seeded by that
+    pair.  {!run} folds {!run_case} over cases [0 … n-1]; the sharded run
+    ([Lslp_service.Shard]) runs the same function on the Domain pool, and
+    {!summarize} turns either path's outcomes into the same {!stats}. *)
+
+type outcome = {
   case : int;
-  desc : string;
+  desc : string;  (** the generated program, printable *)
   config_name : string;
-  injected : string option;
-  problem : string;
+      (** the configuration the case ran under, [+validate] when the
+          legality validator was on *)
+  injected : string option;  (** the armed injector, printed *)
+  vectorized : int;  (** regions vectorized (0 on failure) *)
+  degraded : int;  (** regions degraded (0 on failure) *)
+  problem : string option;  (** [None]: every property held *)
 }
 
 type stats = {
   cases : int;
-  failures : failure list;
+  failures : outcome list;  (** in case order *)
   vectorized : int;
   degraded : int;
-  injected_runs : int;
+  injected_runs : int;  (** cases that ran with an armed injector *)
 }
+
+val run_case :
+  ?config:Lslp_core.Config.t ->
+  ?cond:bool ->
+  ?inject_spec:Lslp_robust.Inject.t ->
+  seed:int ->
+  case:int ->
+  unit ->
+  outcome
+(** Case [case] of the run rooted at [seed].  Without [config] the case
+    draws one of seven configurations (and a random [validate] flag).
+    [inject_spec] — typically parsed from [--inject] — is re-seeded per
+    case; without it, a quarter of the cases arm a random low-rate
+    injector anyway.  [~cond:true] (the [lslpc fuzz --config cond] arm)
+    draws only branching masked-IR programs — guarded stores, selects,
+    masked loads — instead of the classic shape mix. *)
+
+val summarize : outcome array -> stats
+(** Outcome [k] belongs to case [k].  Failures keep case order. *)
 
 val run :
   ?cases:int ->
@@ -29,56 +57,29 @@ val run :
   ?inject_spec:Lslp_robust.Inject.t ->
   unit ->
   stats
-(** [cases] defaults to 500, [seed] to 42.  Without [config] each case
-    draws from a pool of seven configurations (and a random [validate]
-    flag).  [inject_spec] — typically parsed from [--inject] — is re-seeded
-    per case; without it, a quarter of the cases arm a random low-rate
-    injector anyway.  [~cond:true] (the [lslpc fuzz --config cond] arm)
-    draws only branching masked-IR programs — guarded stores, selects,
-    masked loads — instead of the classic shape mix. *)
-
-type case_outcome = {
-  case : int;
-  ok : bool;
-  summary : string;
-  c_vectorized : int;
-  c_degraded : int;
-  c_injected : bool;
-}
-(** One case's result under the indexed derivation.  [summary] is a pure
-    function of (seed, case, config, inject spec) — the string the sharded
-    and sequential runs compare verbatim. *)
-
-val run_case_indexed :
-  ?config:Lslp_core.Config.t ->
-  ?cond:bool ->
-  ?inject_spec:Lslp_robust.Inject.t ->
-  seed:int ->
-  case:int ->
-  unit ->
-  case_outcome
-(** Run case [case] from a per-case PRNG seeded by [(seed, case)] rather
-    than one stream threaded across cases.  Case [k] is a pure function of
-    [(seed, k)] alone, so a Domain pool may run cases in any order and a
-    sequential rerun reproduces every outcome verbatim — the determinism
-    assertion behind [lslpc fuzz --jobs N].  Note the case streams differ
-    from {!run}'s single-stream derivation, so aggregate counts differ
-    between [run] and a sweep of [run_case_indexed]; each is internally
-    deterministic. *)
+(** {!summarize} of {!run_case} over cases [0 … cases-1], in the calling
+    domain.  [cases] defaults to 500, [seed] to 42. *)
 
 val ok : stats -> bool
 
+val pp_outcome : outcome Fmt.t
+(** The case number, its problem (or its region counts), program,
+    configuration and injector, one per line. *)
+
 val pp_summary : stats Fmt.t
-(** Stable across seeds/OCaml versions when there are no failures
-    (["fuzz: N case(s): 0 failure(s)"]) — safe for cram tests. *)
+(** Case count, failure count and every failure's {!pp_outcome}: a pure
+    function of the run's arguments, and with no failures
+    (["fuzz: N case(s): 0 failure(s)"]) stable across OCaml versions too —
+    safe for cram tests. *)
 
 val pp_detail : stats Fmt.t
-(** RNG-dependent counters (vectorized/degraded/fault cases); the CLI
-    prints this to stderr. *)
+(** The region and injector counters, which depend on the PRNG's
+    algorithm; the CLI prints this to stderr. *)
 
 val json : stats -> Lslp_util.Json.t
-(** The run's machine form: cases, failures (with program text and armed
-    injector), aggregate counters and the [ok] verdict. *)
+(** The run's machine form: cases, failures (with program text,
+    configuration and armed injector), aggregate counters and the [ok]
+    verdict. *)
 
 val to_json : stats -> string
 (** {!json} rendered minified ([lslpc fuzz --json]). *)

@@ -153,30 +153,6 @@ kernel k(f64 A[], f64 R[], i64 i) {
         check_int "two loads" 2 (List.length loads);
         check_bool "cycle rejected" false
           (Depgraph.schedulable_groups deps [ loads; stores ]));
-    tc "topo_order is stable when legal" (fun () ->
-        let f = dep_function () in
-        let before = Block.to_list (Func.entry f) in
-        let order = Depgraph.topo_order (Func.entry f) in
-        check_bool "unchanged" true
-          (List.for_all2 Instr.equal before order));
-    tc "reschedule fixes def-after-use for pure code" (fun () ->
-        let b =
-          Builder.create ~name:"swapped"
-            ~args:[ ("A", Instr.Array_arg Types.I64); ("i", Instr.Int_arg) ]
-        in
-        let x = Builder.load b ~base:"A" (Builder.idx 0) in
-        let y = Builder.binop b Opcode.Add x (Builder.iconst 1) in
-        Builder.store b ~base:"A" (Builder.idx 1) y;
-        let f = Builder.func b in
-        (* scramble: move the load after its user *)
-        let insts = Block.to_list (Func.entry f) in
-        Block.set_order (Func.entry f)
-          (match insts with
-           | [ ld; add; st ] -> [ add; ld; st ]
-           | _ -> insts);
-        check_bool "broken before" false (Verifier.is_valid f);
-        Depgraph.reschedule (Func.entry f);
-        check_bool "fixed after" true (Verifier.is_valid f));
   ]
 
 let suite = addr_tests @ depgraph_tests

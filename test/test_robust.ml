@@ -313,9 +313,7 @@ let fuzz_tests =
         check_int "cases" 60 stats.Lslp_fuzz.Fuzz.cases;
         (match stats.Lslp_fuzz.Fuzz.failures with
         | [] -> ()
-        | f :: _ ->
-          Alcotest.failf "case %d failed: %s (%s)" f.Lslp_fuzz.Fuzz.case
-            f.Lslp_fuzz.Fuzz.problem f.Lslp_fuzz.Fuzz.desc);
+        | f :: _ -> Alcotest.failf "%a" Lslp_fuzz.Fuzz.pp_outcome f);
         check_bool "ok" true (Lslp_fuzz.Fuzz.ok stats));
     tc "fuzz: generation is deterministic per seed" (fun () ->
         let gen seed =

@@ -11,6 +11,7 @@ module Service = Lslp_service.Service
 module Pool = Lslp_service.Pool
 module Cache = Lslp_service.Cache
 module Shard = Lslp_service.Shard
+module Fuzz = Lslp_fuzz.Fuzz
 module Inject = Lslp_robust.Inject
 module Budget = Lslp_robust.Budget
 module Config = Lslp_core.Config
@@ -301,19 +302,50 @@ let cache_off () =
 
 let shard_determinism () =
   let pool = { Pool.default_config with domains = 4; queue_cap = 16 } in
-  let outcomes = Shard.run ~pool ~cases:40 ~seed:11 () in
-  let totals = Shard.summarize outcomes in
-  Helpers.check_int "all cases ran" 40 totals.Shard.cases;
-  Helpers.check_int "no pool failures" 0 totals.Shard.pool_failures;
-  (match Shard.check_against_sequential ~seed:11 outcomes with
-   | [] -> ()
-   | m :: _ ->
-     Alcotest.failf "case %d diverged: sharded %s vs sequential %s"
-       m.Shard.case m.Shard.sharded m.Shard.sequential);
-  match totals.Shard.failures with
-  | [] -> ()
-  | (case, summary) :: _ ->
-    Alcotest.failf "fuzz case %d failed under sharding: %s" case summary
+  let check_arm ~cond =
+    let outcomes = Shard.run ~pool ~cond ~cases:40 ~seed:11 () in
+    (match Shard.check_against_sequential ~cond ~seed:11 outcomes with
+     | [] -> ()
+     | m :: _ ->
+       Alcotest.failf "case %d diverged: sharded %a vs sequential %a"
+         m.Shard.case Fuzz.pp_outcome m.Shard.sharded Fuzz.pp_outcome
+         m.Shard.sequential);
+    let sharded = Fuzz.summarize outcomes in
+    let sequential = Fuzz.run ~cond ~cases:40 ~seed:11 () in
+    Helpers.check_int "all cases ran" 40 sharded.Fuzz.cases;
+    Helpers.check_int "vectorized" sequential.Fuzz.vectorized
+      sharded.Fuzz.vectorized;
+    Helpers.check_int "degraded" sequential.Fuzz.degraded
+      sharded.Fuzz.degraded;
+    Helpers.check_int "injected runs" sequential.Fuzz.injected_runs
+      sharded.Fuzz.injected_runs;
+    Helpers.check_bool "same failures" true
+      (sharded.Fuzz.failures = sequential.Fuzz.failures);
+    match sharded.Fuzz.failures with
+    | [] -> ()
+    | o :: _ -> Alcotest.failf "fuzz case failed under sharding: %a"
+                  Fuzz.pp_outcome o
+  in
+  check_arm ~cond:false;
+  check_arm ~cond:true
+
+let shard_pool_failure () =
+  let spec = Inject.make ~points:[ Inject.Worker_raise ] ~rate:1.0 ~seed:7 () in
+  let pool =
+    { Pool.default_config with
+      domains = 2; queue_cap = 8; retries = 0;
+      inject_for = (fun i -> if i = 3 then Some spec else None) }
+  in
+  let outcomes = Shard.run ~pool ~cases:6 ~seed:11 () in
+  let stats = Fuzz.summarize outcomes in
+  Helpers.check_bool "degraded case fails" true
+    (List.map (fun (o : Fuzz.outcome) -> o.case) stats.Fuzz.failures = [ 3 ]);
+  Helpers.check_bool "run not ok" false (Fuzz.ok stats);
+  Helpers.check_bool "replay flags it" true
+    (List.map
+       (fun (m : Shard.mismatch) -> m.case)
+       (Shard.check_against_sequential ~seed:11 outcomes)
+     = [ 3 ])
 
 let suite =
   [
@@ -330,4 +362,6 @@ let suite =
     Helpers.tc "cache: off means off" cache_off;
     Helpers.tc "shard: 4-domain fuzz == sequential, case by case"
       shard_determinism;
+    Helpers.tc "shard: a case the pool degraded is a failure"
+      shard_pool_failure;
   ]
